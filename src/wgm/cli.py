@@ -40,6 +40,11 @@ from .ingest import (
 )
 
 THREADS_ENV = "WGM_THREADS"
+# upper bounds checked before any I/O: the sampled pairs and nodes are
+# held in arrays, and a histogram has at most ed.MAX_HISTOGRAM_BINS bins
+MAX_PAIRS = 10_000_000
+MAX_SAMPLES = 10_000_000
+MIN_BIN_WIDTH = ed.HISTOGRAM_VALUE_BOUND / ed.MAX_HISTOGRAM_BINS
 
 
 @dataclass
@@ -81,11 +86,11 @@ class RunConfig:
         """Check every numeric parameter before any file is touched."""
         checks = [
             (0.0 < self.percentile < 1.0, f"--percentile must be in (0, 1), got {self.percentile}"),
-            (self.n_samples >= 1, f"--samples must be >= 1, got {self.n_samples}"),
-            (self.n_pairs >= 1, f"--pairs must be >= 1, got {self.n_pairs}"),
+            (1 <= self.n_samples <= MAX_SAMPLES, f"--samples must be in [1, {MAX_SAMPLES}], got {self.n_samples}"),
+            (1 <= self.n_pairs <= MAX_PAIRS, f"--pairs must be in [1, {MAX_PAIRS}], got {self.n_pairs}"),
             (0.0 < self.top_fraction <= 1.0, f"--top-fraction must be in (0, 1], got {self.top_fraction}"),
             (self.x_min >= 1, f"--xmin must be >= 1, got {self.x_min}"),
-            (self.bin_width > 0.0, f"--bin-width must be > 0, got {self.bin_width}"),
+            (self.bin_width >= MIN_BIN_WIDTH, f"--bin-width must be >= {MIN_BIN_WIDTH}, got {self.bin_width}"),
             (self.threads >= 0, f"{THREADS_ENV} must be >= 0, got {self.threads}"),
         ]
         for ok, message in checks:

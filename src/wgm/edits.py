@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 ANONYMOUS_AUTHOR = 0
+# histogram values are shares (<= 1) or entropies in bits (<= log2 of a
+# category count, so below 64); the bin count is capped
+HISTOGRAM_VALUE_BOUND = 64.0
+MAX_HISTOGRAM_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,10 @@ def entropy_report(log: EditLog) -> EntropyReport:
 def _bin_values(values: list[float], bin_width: float) -> list[tuple[float, float, int]]:
     if bin_width <= 0:
         raise DomainError(f"bin_width must be > 0, got {bin_width}")
-    n_bins = max(1, math.floor(max(values) / bin_width) + 1)
+    span = max(values) / bin_width
+    if not span < MAX_HISTOGRAM_BINS:
+        raise DomainError(f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} bins")
+    n_bins = max(1, math.floor(span) + 1)
     counts = [0] * n_bins
     for v in values:
         counts[min(int(v / bin_width), n_bins - 1)] += 1

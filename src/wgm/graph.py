@@ -118,6 +118,10 @@ class ArticleGraph:
     def directed_csr(self) -> tuple[np.ndarray, np.ndarray]:
         return self._out_indptr, self._out_indices
 
+    def in_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reverse CSR: row v lists the sources of v's in-edges."""
+        return self._in_indptr, self._in_indices
+
 
 def build_graph(
     edges: Iterable[tuple[int, int]] | np.ndarray,

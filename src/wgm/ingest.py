@@ -66,13 +66,29 @@ class CategoryMap:
 
 
 def _data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping comments/blanks."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+    """Yield (1-based line number, stripped line), skipping comments/blanks.
+
+    Bytes that are not UTF-8 raise :class:`ParseError` at their line.
+    """
+    lineno = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError:
+        # the text reader decodes ahead of the line it yields, so the rest
+        # of the file is split into lines the same way and decoded one by one
+        with open(path, "rb") as fh:
+            rest = fh.read().splitlines()[lineno:]
+        for lineno, raw in enumerate(rest, start=lineno + 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ParseError(lineno, f"invalid UTF-8 at byte {err.start} of the line", str(path)) from None
+            if line and not line.startswith("#"):
+                yield lineno, line
 
 
 def _int_field(value: str, what: str, lineno: int, path) -> int:

@@ -46,41 +46,76 @@ class PathSampleResult:
     seed: int
 
 
-def _sorted_common(a: np.ndarray, b: np.ndarray) -> int:
-    """Count common elements of two sorted unique int arrays."""
-    if a.size == 0 or b.size == 0:
-        return 0
-    pos = np.searchsorted(b, a)
-    pos[pos == b.size] = b.size - 1
-    return int(np.count_nonzero(b[pos] == a))
+# Beamer's direction switch: a BFS level pulls over the reverse CSR once
+# the frontier's out-edges exceed 1/alpha of all edges, and pushes otherwise
+_PULL_ALPHA = 14
+_LANES = 64  # BFS sources per uint64 word
+_WEDGE_BLOCK = 1 << 12  # wedges per block of the triangle kernel
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _coefficient(indptr: np.ndarray, indices: np.ndarray, node: int) -> float:
-    start, end = indptr[node], indptr[node + 1]
-    deg = int(end - start)
-    if deg < 2:
-        return 0.0
-    nbrs = indices[start:end]
-    links = 0
-    for v in nbrs:
-        links += _sorted_common(nbrs, indices[indptr[v] : indptr[v + 1]])
-    # links counts each closed neighbor pair twice
-    return links / (deg * (deg - 1))
+def _expand(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of every CSR entry of `rows`, row after row, and the row sizes."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts), counts
+
+
+def _coefficients(graph: ArticleGraph) -> np.ndarray:
+    """Local coefficient of every node from one vectorized triangle count.
+
+    Each undirected edge is oriented from the lower to the higher
+    (degree, id) rank, so a triangle is found exactly once: from the wedge
+    a->b->c whose closing edge a->c is looked up by `searchsorted` on
+    `a*n + c` keys. Wedges are enumerated in fixed-size blocks to bound
+    memory. links = 2 * triangles, divided as links / (deg*(deg-1)).
+    """
+    indptr, indices = graph.undirected_csr()
+    n = graph.node_count
+    deg = np.diff(indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    up = np.repeat(rank, deg) < rank[indices]
+    tail = indices[up]
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg)[up]
+    keys += tail  # a*n + b, ascending: rows ascend and each row is sorted
+    optr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=optr[1:])
+    wedges = np.cumsum(np.diff(optr)[tail])
+
+    triangles = np.zeros(n, dtype=np.int64)
+    lo = 0
+    while lo < keys.size:
+        base = int(wedges[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(wedges, base + _WEDGE_BLOCK, side="right")))
+        pos, counts = _expand(optr, tail[lo:hi])
+        a = np.repeat(keys[lo:hi] // n, counts)
+        c = tail[pos]
+        probe = a * n + c
+        closed = keys[np.minimum(np.searchsorted(keys, probe), keys.size - 1)] == probe
+        corners = (a[closed], np.repeat(tail[lo:hi], counts)[closed], c[closed])
+        nodes, hits = np.unique(np.concatenate(corners), return_counts=True)
+        triangles[nodes] += hits
+        lo = hi
+
+    coeff = np.zeros(n)
+    np.divide(2 * triangles, deg * (deg - 1), out=coeff, where=deg >= 2)
+    return coeff
 
 
 def local_clustering(graph: ArticleGraph, node: int) -> float:
     """Watts-Strogatz local coefficient on the undirected projection."""
     graph.undirected_neighbors(node)  # range check
-    indptr, indices = graph.undirected_csr()
-    return _coefficient(indptr, indices, int(node))
+    return float(_coefficients(graph)[int(node)])
 
 
 def exact_clustering(graph: ArticleGraph) -> float:
     """Mean local coefficient over every node."""
     if graph.node_count == 0:
         raise EmptyGraph("clustering of an empty graph is undefined")
-    indptr, indices = graph.undirected_csr()
-    return math.fsum(_coefficient(indptr, indices, u) for u in range(graph.node_count)) / graph.node_count
+    return math.fsum(_coefficients(graph).tolist()) / graph.node_count
 
 
 def sampled_clustering(
@@ -100,15 +135,11 @@ def sampled_clustering(
     if trace_stride < 1:
         raise DomainError(f"trace_stride must be >= 1, got {trace_stride}")
 
+    coeff = _coefficients(graph)
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, graph.node_count, size=n_samples)
-
-    indptr, indices = graph.undirected_csr()
-    coeff = np.full(graph.node_count, np.nan)
-    for u in np.unique(picks):
-        coeff[u] = _coefficient(indptr, indices, int(u))
-
-    running = np.cumsum(coeff[picks]) / np.arange(1, n_samples + 1)
+    running = coeff[rng.integers(0, graph.node_count, size=n_samples)]
+    np.cumsum(running, out=running)
+    running /= np.arange(1, n_samples + 1)
     marks = list(range(trace_stride - 1, n_samples, trace_stride))
     if not marks or marks[-1] != n_samples - 1:
         marks.append(n_samples - 1)
@@ -116,28 +147,95 @@ def sampled_clustering(
     return ClusteringTrace(estimates=estimates, final_estimate=float(running[-1]), seed=seed)
 
 
-def _bfs_distances(indptr: np.ndarray, indices: np.ndarray, source: int, n: int) -> np.ndarray:
-    """Hop distances from `source`; -1 where unreachable."""
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        cum = np.cumsum(counts)
-        gather = np.arange(total) + np.repeat(starts - np.concatenate(([0], cum[:-1])), counts)
-        nbrs = indices[gather]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
-        depth += 1
-        dist[frontier] = depth
-    return dist
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in `a`."""
+    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+
+
+def _advance(frontier, unseen, nxt, push, pull, outdeg) -> None:
+    """One BFS level for every lane: the bits that first reach each node
+    from `frontier` go to `nxt` and are cleared from `unseen`."""
+    active = np.flatnonzero(frontier)
+    nxt.fill(0)
+    if _PULL_ALPHA * int(outdeg[active].sum()) > push[1].size:
+        rows, starts, sources = pull
+        nxt[rows] = np.bitwise_or.reduceat(frontier[sources], starts)
+    else:
+        pos, counts = _expand(push[0], active)
+        if pos.size:
+            nbrs = push[1][pos]
+            order = np.argsort(nbrs, kind="stable")
+            nbrs = nbrs[order]
+            heads = _run_starts(nbrs)
+            nxt[nbrs[heads]] = np.bitwise_or.reduceat(np.repeat(frontier[active], counts)[order], heads)
+    nxt &= unseen
+    unseen ^= nxt
+
+
+def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
+    """(sum of hop distances, count) over the reachable ordered pairs.
+
+    `pairs` holds sorted keys s*n + t; None stands for every ordered pair.
+    Bitset multi-source BFS: up to 64 distinct sources run at once, one bit
+    each in a uint64 word per node. Each level pushes the frontier along
+    `push`, or pulls it over the reverse CSR `pull` once the frontier's
+    out-edges exceed 1/_PULL_ALPHA of all edges. A batch stops once all
+    its targets are settled.
+    """
+    n = push[0].size - 1
+    if pairs is None:
+        sources = np.arange(n)
+    else:
+        heads = _run_starts(pairs // n)
+        sources = pairs[heads] // n
+        bounds = np.append(heads, pairs.size)
+    outdeg = np.diff(push[0])
+    rows = np.flatnonzero(np.diff(pull[0]))
+    pull = (rows, pull[0][rows], pull[1])
+    frontier, unseen, nxt = (np.empty(n, dtype=np.uint64) for _ in range(3))
+
+    total = reachable = 0
+    for b in range(0, sources.size, _LANES):
+        lanes = sources[b : b + _LANES]
+        frontier.fill(0)
+        frontier[lanes] = np.left_shift(np.uint64(1), np.arange(lanes.size, dtype=np.uint64))
+        np.invert(frontier, out=unseen)
+        if pairs is not None:
+            batch = pairs[bounds[b] : bounds[min(b + _LANES, sources.size)]]
+            targets = batch % n
+            target_bits = np.left_shift(np.uint64(1), np.searchsorted(lanes, batch // n).astype(np.uint64))
+        depth = 0
+        while frontier.any() and (pairs is None or targets.size):
+            depth += 1
+            _advance(frontier, unseen, nxt, push, pull, outdeg)
+            frontier, nxt = nxt, frontier
+            if pairs is None:
+                hits = int(_POPCOUNT8[frontier.view(np.uint8)].sum(dtype=np.int64))
+            else:
+                settled = (frontier[targets] & target_bits) != 0
+                hits = int(np.count_nonzero(settled))
+                targets, target_bits = targets[~settled], target_bits[~settled]
+            total += depth * hits
+            reachable += hits
+    return total, reachable
+
+
+def _draw_pairs(n: int, n_pairs: int, seed: int) -> np.ndarray:
+    """Sorted keys s*n + t of `n_pairs` ordered pairs s != t, drawn
+    uniformly with replacement."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, size=n_pairs)
+    dst = rng.integers(0, n, size=n_pairs)
+    clash = src == dst
+    while clash.any():
+        m = int(clash.sum())
+        src[clash] = rng.integers(0, n, size=m)
+        dst[clash] = rng.integers(0, n, size=m)
+        clash = src == dst
+    src *= n
+    src += dst
+    src.sort()
+    return src
 
 
 def sampled_avg_path(
@@ -160,40 +258,17 @@ def sampled_avg_path(
     if n == 1:
         raise SingleNode("pair sampling needs at least two nodes")
 
-    indptr, indices = graph.directed_csr() if directed else graph.undirected_csr()
+    push = graph.directed_csr() if directed else graph.undirected_csr()
+    pull = graph.in_csr() if directed else push
 
     if exhaustive:
         sampled = n * (n - 1)
-        total = 0
-        reachable = 0
-        for s in range(n):
-            dist = _bfs_distances(indptr, indices, s, n)
-            hit = dist > 0
-            reachable += int(hit.sum())
-            total += int(dist[hit].sum())
+        total, reachable = _distance_sums(push, pull, None)
     else:
         if n_pairs < 1:
             raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
-        rng = np.random.default_rng(seed)
-        src = rng.integers(0, n, size=n_pairs)
-        dst = rng.integers(0, n, size=n_pairs)
-        clash = src == dst
-        while clash.any():
-            m = int(clash.sum())
-            src[clash] = rng.integers(0, n, size=m)
-            dst[clash] = rng.integers(0, n, size=m)
-            clash = src == dst
-
         sampled = n_pairs
-        total = 0
-        reachable = 0
-        # distances are order-independent, so pairs are batched by source
-        for s in np.unique(src):
-            dist = _bfs_distances(indptr, indices, int(s), n)
-            d = dist[dst[src == s]]
-            hit = d > 0
-            reachable += int(hit.sum())
-            total += int(d[hit].sum())
+        total, reachable = _distance_sums(push, pull, _draw_pairs(n, n_pairs, seed))
 
     mean = total / reachable if reachable else math.nan
     return PathSampleResult(

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from wgm.cli import main
+from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MIN_BIN_WIDTH, RunConfig, main
+from wgm.edits import HISTOGRAM_VALUE_BOUND, MAX_HISTOGRAM_BINS
+from wgm.errors import UsageError
 
 
 def run(capsys, *argv):
@@ -415,3 +417,58 @@ class TestExitCodes:
             capsys, "report", "--nodes", nodes, "--edges", edges, "--samples", "100", "--pairs", "10"
         )
         assert code == 0
+
+
+class TestSizeCaps:
+    """Extreme sizes are refused by validation, before any file is read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("paths", "--pairs", "10000000000000"),
+            ("paths", "--pairs", str(MAX_PAIRS + 1)),
+            ("cluster", "--samples", "10000000000000"),
+            ("report", "--samples", str(MAX_SAMPLES + 1)),
+            ("report", "--pairs", str(MAX_PAIRS + 1)),
+            ("entropy", "--bin-width", "1e-300"),
+            ("entropy", "--bin-width", "5e-324"),
+            ("entropy", "--bin-width", "nan"),
+            ("report", "--bin-width", str(MIN_BIN_WIDTH / 2)),
+        ],
+    )
+    def test_exit_2_before_io(self, tmp_path, capsys, argv):
+        # the input files do not exist: reaching I/O would exit 3
+        missing = [str(tmp_path / name) for name in ("n", "e", "l", "m", "c")]
+        io_flags = {
+            "paths": ["--nodes", missing[0], "--edges", missing[1]],
+            "cluster": ["--nodes", missing[0], "--edges", missing[1]],
+            "entropy": ["--edits", missing[2], "--catmap", missing[3], "--catnames", missing[4]],
+            "report": ["--nodes", missing[0], "--edges", missing[1]],
+        }[argv[0]]
+        code, _, err = run(capsys, *argv, *io_flags)
+        assert code == 2
+        assert err.count("\n") == 1
+
+    def test_caps_are_inclusive(self):
+        RunConfig(command="report", n_pairs=MAX_PAIRS, n_samples=MAX_SAMPLES, bin_width=MIN_BIN_WIDTH).validate()
+        for field, value in (("n_pairs", MAX_PAIRS + 1), ("n_samples", MAX_SAMPLES + 1), ("bin_width", 1e-300)):
+            cfg = RunConfig(command="report")
+            setattr(cfg, field, value)
+            with pytest.raises(UsageError):
+                cfg.validate()
+
+    def test_min_bin_width_bounds_the_bin_count(self):
+        assert HISTOGRAM_VALUE_BOUND / MIN_BIN_WIDTH <= MAX_HISTOGRAM_BINS
+
+
+class TestEncoding:
+    def test_non_utf8_edit_log_is_3_with_path_and_line(self, tmp_path, capsys):
+        _, catmap, catnames = write_edit_fixture(tmp_path)
+        edits = tmp_path / "edits.tsv"
+        edits.write_bytes(b"# log\n\n1\t10\n2\t1\xff0\n")
+        code, _, err = run(
+            capsys, "entropy", "--edits", str(edits), "--catmap", catmap, "--catnames", catnames
+        )
+        assert code == 3
+        assert err.startswith(f"error: {edits}:4: ")
+        assert err.count("\n") == 1

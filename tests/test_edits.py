@@ -4,6 +4,7 @@ import pytest
 
 from wgm.edits import (
     ANONYMOUS_AUTHOR,
+    MAX_HISTOGRAM_BINS,
     AuthorProfile,
     active_category_csv,
     active_category_histogram,
@@ -22,6 +23,7 @@ from wgm.edits import (
     top_k_share,
 )
 from wgm.errors import (
+    DomainError,
     EmptyCategory,
     EmptyCategorySelection,
     EmptyLog,
@@ -300,6 +302,13 @@ class TestHistogramAndCsv:
         assert bins[0] == (0.0, 0.25, 1)
         assert bins[-1] == (1.0, 1.25, 1)
         assert sum(c for _, _, c in bins) == 2
+
+    @pytest.mark.parametrize("width", [1e-300, 5e-324, 2.0 / MAX_HISTOGRAM_BINS])
+    def test_bin_count_capped_before_allocating(self, width):
+        # H = 1.0 and 2.0: even the last width needs one bin too many
+        log = make_log([(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (2, 3)])
+        with pytest.raises(DomainError):
+            entropy_histogram(entropy_report(log), bin_width=width)
 
     def test_entropy_histogram_csv_header(self):
         text = entropy_histogram_csv(entropy_report(make_log([(1, 0)])))

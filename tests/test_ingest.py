@@ -205,3 +205,40 @@ class TestRoundTrips:
         back = load_category_map(tmp_path / "m.tsv", tmp_path / "c.tsv")
         assert back.article_to_categories == cm.article_to_categories
         assert back.category_names == cm.category_names
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("loader", [load_nodes, load_edit_log])
+    def test_invalid_utf8_reports_physical_line(self, tmp_path, loader):
+        good = b"0\tA\t0\n" if loader is load_nodes else b"0\t1\n"
+        bad = b"1\tB\xff\t0\n" if loader is load_nodes else b"1\t\xff\n"
+        path = tmp_path / "f.tsv"
+        path.write_bytes(b"# header\n\n" + good + bad)
+        with pytest.raises(ParseError) as err:
+            loader(path)
+        assert (err.value.line, err.value.path) == (4, str(path))
+
+    def test_line_found_past_the_decoder_read_ahead(self, tmp_path):
+        # the bad byte sits well beyond the first chunk the text reader decodes
+        path = tmp_path / "edits.tsv"
+        path.write_bytes(b"1\t2\r\n" * 5000 + b"\xe2\x82\n" + b"1\t2\n")
+        with pytest.raises(ParseError) as err:
+            load_edit_log(path)
+        assert err.value.line == 5001
+
+    def test_earlier_format_error_wins(self, tmp_path):
+        # both defects are in the first decoded chunk; file order decides
+        path = tmp_path / "edits.tsv"
+        path.write_bytes(b"1\t2\n1\t2\t3\n\xff\t1\n")
+        with pytest.raises(ParseError) as err:
+            load_edit_log(path)
+        assert err.value.line == 2
+        assert "fields" in err.value.reason
+
+    def test_category_names(self, tmp_path):
+        names = tmp_path / "catnames.tsv"
+        names.write_bytes(b"5\tsci\xc3ence\n")
+        catmap = _write(tmp_path, "catmap.tsv", "")
+        with pytest.raises(ParseError) as err:
+            load_category_map(catmap, names)
+        assert err.value.line == 1

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from wgm import structure
 from wgm.errors import DomainError, EmptyGraph, SingleNode
 from wgm.graph import build_graph
 from wgm.structure import (
@@ -13,10 +15,12 @@ from wgm.structure import (
 )
 from wgm.synth import generate_preferential, generate_uniform
 
-from conftest import seeded_graph
+from conftest import distinct_random_edges, seeded_graph
 from oracles import (
+    adjacency_dicts,
     all_pairs_mean_bfs,
     all_pairs_mean_floyd_warshall,
+    bfs_dict,
     clustering_triple_loop,
 )
 
@@ -206,3 +210,129 @@ def test_trace_csv_round_trip_values():
     assert lines[0] == "samples,running_mean"
     parsed = [(int(s), float(m)) for s, m in (ln.split(",") for ln in lines[1:])]
     assert parsed == list(trace.estimates)
+
+
+def _oracle_pair_sums(edges, n, pairs, directed):
+    """(sum of hop distances, reachable count) over pairs, by dict BFS."""
+    adj = adjacency_dicts(edges, n, directed)
+    dist = {}
+    total = reachable = 0
+    for s, t in pairs:
+        if s not in dist:
+            dist[s] = bfs_dict(adj, s)
+        if t in dist[s]:
+            total += dist[s][t]
+            reachable += 1
+    return total, reachable
+
+
+def _drawn_pairs(n, n_pairs, seed):
+    """The ordered pairs sampled_avg_path draws for (n, n_pairs, seed)."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, size=n_pairs)
+    dst = rng.integers(0, n, size=n_pairs)
+    clash = src == dst
+    while clash.any():
+        m = int(clash.sum())
+        src[clash] = rng.integers(0, n, size=m)
+        dst[clash] = rng.integers(0, n, size=m)
+        clash = src == dst
+    return list(zip(src.tolist(), dst.tolist()))
+
+
+def patchy_graph():
+    """150 nodes: a random core with sinks, a chain, a 2-cycle and isolated
+    nodes at the top ids, so the last CSR rows are empty."""
+    edges = distinct_random_edges(120, 260, seed=31)
+    edges += [(i, i + 1) for i in range(120, 134)]  # chain: a sink at 134
+    edges += [(135, 136), (136, 135)]
+    return build_graph(edges, 150)  # 137..149 isolated
+
+
+REGIMES = {"switch": 14, "push": 0, "pull": 10**18}
+
+
+class TestMultiSourceBfs:
+    @pytest.fixture(params=sorted(REGIMES))
+    def regime(self, request, monkeypatch):
+        monkeypatch.setattr(structure, "_PULL_ALPHA", REGIMES[request.param])
+        return request.param
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_exhaustive_matches_oracle_over_partial_batches(self, regime, directed):
+        g = patchy_graph()  # 150 sources: batches of 64, 64 and 22
+        edges = [tuple(e) for e in g.edges().tolist()]
+        res = sampled_avg_path(g, 1, seed=0, directed=directed, exhaustive=True)
+        pairs = [(s, t) for s in range(150) for t in range(150) if s != t]
+        total, reachable = _oracle_pair_sums(edges, 150, pairs, directed)
+        assert res.reachable_pairs == reachable
+        assert res.mean_path_length == total / reachable
+        assert res.sampled_pairs == len(pairs)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("n_pairs", [1, 63, 5000])
+    def test_sampled_matches_oracle(self, regime, directed, n_pairs):
+        g = patchy_graph()
+        edges = [tuple(e) for e in g.edges().tolist()]
+        res = sampled_avg_path(g, n_pairs, seed=17, directed=directed)
+        pairs = _drawn_pairs(150, n_pairs, 17)
+        total, reachable = _oracle_pair_sums(edges, 150, pairs, directed)
+        assert res.reachable_pairs == reachable
+        if reachable:
+            assert res.mean_path_length == total / reachable
+        else:
+            assert math.isnan(res.mean_path_length)
+
+    def test_more_than_64_sources_on_a_scale_free_graph(self, regime):
+        g = generate_preferential(300, 2, seed=8)
+        edges = [tuple(e) for e in g.edges().tolist()]
+        for directed in (True, False):
+            res = sampled_avg_path(g, 3000, seed=4, directed=directed)
+            total, reachable = _oracle_pair_sums(edges, 300, _drawn_pairs(300, 3000, 4), directed)
+            assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
+
+    def test_edgeless_graph(self, regime):
+        res = sampled_avg_path(build_graph([], 70), 500, seed=1)
+        assert res.reachable_pairs == 0 and res.unreachable_fraction == 1.0
+
+
+def hub_graph():
+    """Two hubs joined to everything, plus a sparse random rim."""
+    edges = [(0, v) for v in range(2, 40)] + [(v, 1) for v in range(2, 40)] + [(0, 1)]
+    edges += distinct_random_edges(40, 60, seed=5)
+    return build_graph(edges, 40)
+
+
+def ring_lattice(n, k):
+    """Every node linked to its k nearest successors: all degrees 2k."""
+    return build_graph([(u, (u + j) % n) for u in range(n) for j in range(1, k + 1)], n)
+
+
+class TestTriangleKernel:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            hub_graph(),
+            generate_preferential(60, 3, seed=2),
+            ring_lattice(30, 3),
+            ring_lattice(12, 5),
+            triangles_graph(5),
+            build_graph([(0, 1), (1, 2)], 6),
+        ],
+        ids=["hubs", "preferential", "ring-ties", "dense-ring-ties", "triangles", "sparse"],
+    )
+    @pytest.mark.parametrize("block", [1, 7, 1 << 15])
+    def test_matches_triple_loop(self, graph, block, monkeypatch):
+        monkeypatch.setattr(structure, "_WEDGE_BLOCK", block)
+        n = graph.node_count
+        expected = clustering_triple_loop([tuple(e) for e in graph.edges().tolist()], n)
+        assert structure._coefficients(graph).tolist() == expected
+
+    def test_every_entry_point_reads_the_same_array(self):
+        g = hub_graph()
+        coeff = structure._coefficients(g).tolist()
+        assert [local_clustering(g, u) for u in range(40)] == coeff
+        assert exact_clustering(g) == math.fsum(coeff) / 40
+        picks = np.random.default_rng(3).integers(0, 40, size=250)
+        expected = np.cumsum(np.array(coeff)[picks]) / np.arange(1, 251)
+        assert sampled_clustering(g, 250, seed=3).final_estimate == float(expected[-1])
