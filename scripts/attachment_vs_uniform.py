@@ -11,7 +11,8 @@ graphs should fit badly.
 import argparse
 from pathlib import Path
 
-from wgm.degrees import degree_histogram, fit_power_law, histogram_csv
+from wgm.cli import DEGREE_COLUMNS, render
+from wgm.degrees import degree_histogram, fit_power_law
 from wgm.synth import generate_preferential, generate_uniform
 
 
@@ -43,8 +44,9 @@ def main():
             f" {fit_unif.alpha:>10.3f} {fit_unif.r_squared:>8.3f}"
         )
         if out_dir:
-            (out_dir / f"pref_{seed}.csv").write_text(histogram_csv(hist_pref), encoding="utf-8")
-            (out_dir / f"unif_{seed}.csv").write_text(histogram_csv(hist_unif), encoding="utf-8")
+            for name, hist in (("pref", hist_pref), ("unif", hist_unif)):
+                text = render(hist.entries, "csv", DEGREE_COLUMNS)
+                (out_dir / f"{name}_{seed}.csv").write_text(text, encoding="utf-8", newline="\n")
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ stabilization point can be judged by eye.
 import argparse
 from pathlib import Path
 
+from wgm.cli import TRACE_COLUMNS, render
 from wgm.graph import build_graph
 from wgm.ingest import filter_main_namespace, load_edges, load_nodes
-from wgm.structure import exact_clustering, sampled_clustering, trace_csv
+from wgm.structure import exact_clustering, sampled_clustering
 from wgm.synth import generate_preferential
 
 
@@ -46,7 +47,7 @@ def main():
     for run in range(args.runs):
         trace = sampled_clustering(graph, args.samples, seed=args.seed + run)
         path = out_dir / f"clustering_run{run}.csv"
-        path.write_text(trace_csv(trace), encoding="utf-8", newline="\n")
+        path.write_text(render(trace.estimates, "csv", TRACE_COLUMNS), encoding="utf-8", newline="\n")
         print(f"run {run} (seed {args.seed + run}): final estimate {trace.final_estimate:.4f} -> {path}")
 
     if args.exact:

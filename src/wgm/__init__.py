@@ -19,6 +19,7 @@ from .edits import (
     active_category_histogram,
     author_entropy,
     build_profiles,
+    category_report,
     category_stats,
     edits_per_author,
     entropy_histogram,
@@ -48,7 +49,6 @@ from .structure import (
     sampled_clustering,
 )
 from .synth import (
-    GeneratorSpec,
     SyntheticEdits,
     generate_preferential,
     generate_uniform,

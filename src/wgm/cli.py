@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
+from typing import Sequence
 
 from . import degrees as deg
 from . import edits as ed
@@ -39,12 +38,18 @@ from .ingest import (
     write_nodes,
 )
 
-THREADS_ENV = "WGM_THREADS"
 # upper bounds checked before any I/O: the sampled pairs and nodes are
 # held in arrays, and a histogram has at most ed.MAX_HISTOGRAM_BINS bins
 MAX_PAIRS = 10_000_000
 MAX_SAMPLES = 10_000_000
 MIN_BIN_WIDTH = ed.HISTOGRAM_VALUE_BOUND / ed.MAX_HISTOGRAM_BINS
+
+# CSV columns of the commands whose export is a table
+DEGREE_COLUMNS = ("degree", "count")
+TRACE_COLUMNS = ("samples", "running_mean")
+CATEGORY_COLUMNS = ("category", "n_edits", "n_authors", "ea_bar", "top20pct_share", "top1_share")
+BIN_COLUMNS = ("bin_lower", "bin_upper", "author_count")
+ACTIVE_COLUMNS = ("active_categories", "author_count")
 
 
 @dataclass
@@ -71,7 +76,6 @@ class RunConfig:
     bin_width: float = 0.25
     undirected: bool = False
     histogram: str = "entropy"
-    threads: int = 0
     synth_kind: str | None = None
     n: int = 0
     m: int = 3
@@ -91,25 +95,10 @@ class RunConfig:
             (0.0 < self.top_fraction <= 1.0, f"--top-fraction must be in (0, 1], got {self.top_fraction}"),
             (self.x_min >= 1, f"--xmin must be >= 1, got {self.x_min}"),
             (self.bin_width >= MIN_BIN_WIDTH, f"--bin-width must be >= {MIN_BIN_WIDTH}, got {self.bin_width}"),
-            (self.threads >= 0, f"{THREADS_ENV} must be >= 0, got {self.threads}"),
         ]
         for ok, message in checks:
             if not ok:
                 raise UsageError(message)
-
-    def worker_count(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
-
-def _read_threads_env() -> int:
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"{THREADS_ENV} must be >= 0, got {value}")
-    return value
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -135,38 +124,60 @@ def _load_edit_log(cfg: RunConfig) -> tuple[ed.EditLog, dict[int, str]]:
     return log, catmap.category_names
 
 
-def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
+def _plain(value):
+    """The JSON form of a result.
+
+    A dataclass becomes its fields and properties by name, an int-keyed
+    dict its ascending [key, value] rows, a tuple a list, and NaN null.
+    """
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        if all(isinstance(key, int) for key in value):
+            return [[key, _plain(value[key])] for key in sorted(value)]
+        return {key: _plain(item) for key, item in value.items()}
+    if is_dataclass(value):
+        names = [f.name for f in fields(value)]
+        names += [name for name, attr in vars(type(value)).items() if isinstance(attr, property)]
+        return {name: _plain(getattr(value, name)) for name in names}
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
+def render(result, fmt: str = "json", columns: Sequence[str] | None = None) -> str:
+    """The one serializer of every command and script.
+
+    JSON is the plain form of `result`. CSV is the rows of `result`
+    under `columns`, or without them the flat record `result` as sorted
+    `key,value` rows. CSV floats are written with repr.
+    """
+    plain = _plain(result)
+    if fmt == "json":
+        return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    rows = plain if columns is not None else sorted(plain.items())
+    lines = [columns or ("key", "value"), *rows]
+    cells = ([repr(v) if isinstance(v, float) else str(v) for v in row] for row in lines)
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
-def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+def _emit(cfg: RunConfig, result, table: tuple[Sequence[str], object] | None = None) -> None:
+    """Write a command's result; `table` holds (columns, rows) when its CSV
+    is a table rather than the flat record itself."""
+    if cfg.fmt == "csv" and table is not None:
+        _write(render(table[1], "csv", table[0]), cfg.out)
+    else:
+        _write(render(result, cfg.fmt), cfg.out)
 
 
-def _kv_csv(pairs: list[tuple[str, object]]) -> str:
-    lines = ["key,value"]
-    lines += [f"{k},{v!r}" if isinstance(v, float) else f"{k},{v}" for k, v in pairs]
-    return "\n".join(lines) + "\n"
-
-
-def _histogram_payload(hist: deg.DegreeHistogram) -> dict:
-    return {
-        "which": hist.which,
-        "entries": [[k, hist.entries[k]] for k in sorted(hist.entries)],
-        "zero_count": hist.zero_count,
-    }
-
-
-def _graph_payload(graph: ArticleGraph) -> dict:
+def _graph_summary(graph: ArticleGraph) -> dict:
     total = graph.indegrees() + graph.outdegrees()
     return {
         "node_count": graph.node_count,
@@ -178,90 +189,8 @@ def _graph_payload(graph: ArticleGraph) -> dict:
     }
 
 
-def _top_payload(graph: ArticleGraph, which: str, k: int = 10) -> list[list]:
-    rows = []
-    for node, degree in deg.top_k_by_degree(graph, which, k):
-        row: list = [node, degree]
-        if graph.titles is not None:
-            row.append(graph.titles[node])
-        rows.append(row)
-    return rows
-
-
-def _quadrants_payload(q: deg.AuthorityQuadrants) -> dict:
-    return {
-        "all_round": q.all_round,
-        "referring": q.referring,
-        "guru": q.guru,
-        "regular": q.regular,
-        "in_threshold": q.in_threshold,
-        "out_threshold": q.out_threshold,
-    }
-
-
-def _trace_payload(trace: st.ClusteringTrace) -> dict:
-    return {
-        "estimates": [[s, m] for s, m in trace.estimates],
-        "final_estimate": trace.final_estimate,
-        "seed": trace.seed,
-    }
-
-
-def _paths_payload(res: st.PathSampleResult) -> dict:
-    return {
-        "mean_path_length": _jsonable(res.mean_path_length),
-        "reachable_pairs": res.reachable_pairs,
-        "sampled_pairs": res.sampled_pairs,
-        "unreachable_fraction": res.unreachable_fraction,
-        "seed": res.seed,
-    }
-
-
-def _fit_payload(fit: deg.PowerLawFit) -> dict:
-    return {
-        "alpha": fit.alpha,
-        "log_prefactor": fit.log_prefactor,
-        "x_min": fit.x_min,
-        "r_squared": fit.r_squared,
-        "points_used": fit.points_used,
-    }
-
-
-def _category_payload(log: ed.EditLog, names: dict[int, str], cfg: RunConfig) -> list[dict]:
-    rows = []
-    for cat in sorted({c for _, c in log.resolved}):
-        try:
-            stats = ed.category_stats(log, cat, cfg.top_fraction, cfg.include_anonymous)
-        except WgmError:
-            continue  # only anonymous edits and those are excluded
-        rows.append(
-            {
-                "category_id": stats.category_id,
-                "category": names.get(cat, str(cat)),
-                "n_edits": stats.n_edits,
-                "n_authors": stats.n_authors,
-                "ea_bar": stats.ea_bar,
-                "top_fraction_share": stats.top_fraction_share,
-                "top1_share": stats.top1_share,
-            }
-        )
-    return rows
-
-
-def _entropy_payload(log: ed.EditLog, cfg: RunConfig) -> dict:
-    report = ed.entropy_report(log)
-    active = ed.active_category_histogram(log)
-    anon_active = sum(1 for (a, _c) in log.resolved if a == ed.ANONYMOUS_AUTHOR) or None
-    return {
-        "entries": [[a, h] for a, h in report.entries],
-        "min_entropy": report.min_entropy,
-        "max_entropy": report.max_entropy,
-        "mean_entropy": report.mean_entropy,
-        "histogram": [[lo, hi, c] for lo, hi, c in ed.entropy_histogram(report, cfg.bin_width)],
-        "active_categories": [[k, active[k]] for k in sorted(active)],
-        "anonymous_active_categories": anon_active,
-        "max_share_histogram": [[lo, hi, c] for lo, hi, c in ed.max_share_histogram(log)],
-    }
+def _paths(cfg: RunConfig, graph: ArticleGraph) -> st.PathSampleResult:
+    return st.sampled_avg_path(graph, cfg.n_pairs, cfg.seed, directed=not cfg.undirected)
 
 
 def _fit_for(cfg: RunConfig, graph: ArticleGraph) -> deg.PowerLawFit:
@@ -270,75 +199,67 @@ def _fit_for(cfg: RunConfig, graph: ArticleGraph) -> deg.PowerLawFit:
     return fitter(hist, cfg.x_min)
 
 
+def _categories(cfg: RunConfig, log: ed.EditLog, names: dict[int, str]) -> list[dict]:
+    """Each reported category's statistics under its name."""
+    report = ed.category_report(log, cfg.top_fraction, cfg.include_anonymous)
+    return [{"category": names.get(s.category_id, str(s.category_id)), **vars(s)} for s in report]
+
+
+def _entropy(cfg: RunConfig, log: ed.EditLog) -> dict:
+    """Entropy report and histograms; `--bin-width` bins the entropies
+    only, and the maximum shares keep their default bins."""
+    report = ed.entropy_report(log)
+    return {
+        **vars(report),
+        "histogram": ed.entropy_histogram(report, cfg.bin_width),
+        "active_categories": ed.active_category_histogram(log),
+        "anonymous_active_categories": sum(1 for a, _ in log.resolved if a == ed.ANONYMOUS_AUTHOR) or None,
+        "max_share_histogram": ed.max_share_histogram(log),
+    }
+
+
 def _cmd_degrees(cfg: RunConfig) -> None:
     graph = _load_graph(cfg)
     hist = deg.degree_histogram(graph, cfg.which)
-    if cfg.fmt == "csv":
-        _emit(deg.histogram_csv(hist), cfg.out)
-        return
-    payload = _graph_payload(graph)
-    payload["histogram"] = _histogram_payload(hist)
-    payload["top_in"] = _top_payload(graph, "in")
-    payload["top_out"] = _top_payload(graph, "out")
-    _emit_json(payload, cfg.out)
+    summary = _graph_summary(graph)
+    summary["histogram"] = hist
+    for which in ("in", "out"):
+        top = deg.top_k_by_degree(graph, which, 10)
+        summary[f"top_{which}"] = [(node, degree, graph.titles[node]) for node, degree in top]
+    _emit(cfg, summary, (DEGREE_COLUMNS, hist.entries))
 
 
 def _cmd_classify(cfg: RunConfig) -> None:
-    quadrants = deg.classify_authorities(_load_graph(cfg), cfg.percentile)
-    payload = _quadrants_payload(quadrants)
-    if cfg.fmt == "csv":
-        _emit(_kv_csv(sorted(payload.items())), cfg.out)
-    else:
-        _emit_json(payload, cfg.out)
+    _emit(cfg, deg.classify_authorities(_load_graph(cfg), cfg.percentile))
 
 
 def _cmd_cluster(cfg: RunConfig) -> None:
     trace = st.sampled_clustering(_load_graph(cfg), cfg.n_samples, cfg.seed)
-    if cfg.fmt == "csv":
-        _emit(st.trace_csv(trace), cfg.out)
-    else:
-        _emit_json(_trace_payload(trace), cfg.out)
+    _emit(cfg, trace, (TRACE_COLUMNS, trace.estimates))
 
 
 def _cmd_paths(cfg: RunConfig) -> None:
-    result = st.sampled_avg_path(
-        _load_graph(cfg), cfg.n_pairs, cfg.seed, directed=not cfg.undirected
-    )
-    payload = _paths_payload(result)
-    if cfg.fmt == "csv":
-        _emit(_kv_csv(sorted(payload.items())), cfg.out)
-    else:
-        _emit_json(payload, cfg.out)
+    _emit(cfg, _paths(cfg, _load_graph(cfg)))
 
 
 def _cmd_fit(cfg: RunConfig) -> None:
-    fit = _fit_for(cfg, _load_graph(cfg))
-    payload = _fit_payload(fit)
-    if cfg.fmt == "csv":
-        _emit(_kv_csv(sorted(payload.items())), cfg.out)
-    else:
-        _emit_json(payload, cfg.out)
+    _emit(cfg, _fit_for(cfg, _load_graph(cfg)))
 
 
 def _cmd_categories(cfg: RunConfig) -> None:
-    log, names = _load_edit_log(cfg)
-    if cfg.fmt == "csv":
-        _emit(ed.category_report_csv(log, names, cfg.top_fraction, cfg.include_anonymous), cfg.out)
-    else:
-        _emit_json(_category_payload(log, names, cfg), cfg.out)
+    rows = _categories(cfg, *_load_edit_log(cfg))
+    keys = ("category", "n_edits", "n_authors", "ea_bar", "top_fraction_share", "top1_share")
+    _emit(cfg, rows, (CATEGORY_COLUMNS, [[row[k] for k in keys] for row in rows]))
 
 
 def _cmd_entropy(cfg: RunConfig) -> None:
-    log, _ = _load_edit_log(cfg)
-    if cfg.fmt == "csv":
-        if cfg.histogram == "active":
-            _emit(ed.active_category_csv(log), cfg.out)
-        elif cfg.histogram == "max-share":
-            _emit(ed.max_share_histogram_csv(log, cfg.bin_width), cfg.out)
-        else:
-            _emit(ed.entropy_histogram_csv(ed.entropy_report(log), cfg.bin_width), cfg.out)
-    else:
-        _emit_json(_entropy_payload(log, cfg), cfg.out)
+    result = _entropy(cfg, _load_edit_log(cfg)[0])
+    tables = {
+        "entropy": (BIN_COLUMNS, result["histogram"]),
+        "active": (ACTIVE_COLUMNS, result["active_categories"]),
+        "max-share": (BIN_COLUMNS, result["max_share_histogram"]),
+    }
+    _emit(cfg, result, tables[cfg.histogram])
 
 
 def _cmd_synth(cfg: RunConfig) -> None:
@@ -346,35 +267,44 @@ def _cmd_synth(cfg: RunConfig) -> None:
         raise UsageError("--out directory is required for `synth`")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    written: list[str] = []
 
-    if cfg.synth_kind in ("preferential", "uniform"):
-        if cfg.synth_kind == "preferential":
-            spec = sy.GeneratorSpec("preferential_attachment", n=cfg.n, m=cfg.m, seed=cfg.seed)
-        else:
-            spec = sy.GeneratorSpec("uniform_random", n=cfg.n, p=cfg.p, seed=cfg.seed)
-        graph = spec.generate()
-        write_nodes(
-            (NodeRecord(i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv"
-        )
-        write_edges(map(tuple, graph.edges().tolist()), outdir / "edges.tsv")
-        written += ["nodes.tsv", "edges.tsv"]
-    elif cfg.synth_kind == "zipf-edits":
+    if cfg.synth_kind == "zipf-edits":
         data = sy.generate_zipf_edits(
             cfg.n_authors, cfg.n_categories, cfg.total_edits, cfg.zipf_s, cfg.seed, cfg.home_bias
         )
         write_edit_log(data.records, outdir / "edits.tsv")
         write_category_map(data.category_map, outdir / "catmap.tsv", outdir / "catnames.tsv")
-        written += ["edits.tsv", "catmap.tsv", "catnames.tsv"]
+        written = ["edits.tsv", "catmap.tsv", "catnames.tsv"]
     else:
-        raise UsageError(f"unknown synth kind {cfg.synth_kind!r}")
+        if cfg.synth_kind == "preferential":
+            graph = sy.generate_preferential(cfg.n, cfg.m, cfg.seed)
+        else:
+            graph = sy.generate_uniform(cfg.n, cfg.p, cfg.seed)
+        write_nodes(
+            (NodeRecord(i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv"
+        )
+        write_edges(map(tuple, graph.edges().tolist()), outdir / "edges.tsv")
+        written = ["nodes.tsv", "edges.tsv"]
 
-    _emit_json({"out_dir": str(outdir), "written": written, "seed": cfg.seed}, None)
+    sys.stdout.write(render({"out_dir": str(outdir), "written": written, "seed": cfg.seed}))
 
 
 def _cmd_report(cfg: RunConfig) -> None:
     graph = _load_graph(cfg)
-    sections: dict[str, object] = {
+    sections = {
+        "graph": lambda: _graph_summary(graph),
+        "degree_histogram": lambda: deg.degree_histogram(graph, "total"),
+        "classification": lambda: deg.classify_authorities(graph, cfg.percentile),
+        "clustering": lambda: st.sampled_clustering(graph, cfg.n_samples, cfg.seed),
+        "paths": lambda: _paths(cfg, graph),
+        "degree_fit": lambda: _fit_for(cfg, graph),
+    }
+    if cfg.edits is not None:
+        log, names = _load_edit_log(cfg)
+        sections["categories"] = lambda: _categories(cfg, log, names)
+        sections["entropy"] = lambda: _entropy(cfg, log)
+
+    report: dict[str, object] = {
         "config": {
             "seed": cfg.seed,
             "percentile": cfg.percentile,
@@ -385,39 +315,14 @@ def _cmd_report(cfg: RunConfig) -> None:
             "include_anonymous": cfg.include_anonymous,
         }
     }
-    jobs: dict[str, object] = {
-        "graph": lambda: _graph_payload(graph),
-        "degree_histogram": lambda: _histogram_payload(deg.degree_histogram(graph, "total")),
-        "classification": lambda: _quadrants_payload(
-            deg.classify_authorities(graph, cfg.percentile)
-        ),
-        "clustering": lambda: _trace_payload(
-            st.sampled_clustering(graph, cfg.n_samples, cfg.seed)
-        ),
-        "paths": lambda: _paths_payload(
-            st.sampled_avg_path(graph, cfg.n_pairs, cfg.seed, directed=not cfg.undirected)
-        ),
-        "degree_fit": lambda: _fit_payload(_fit_for(cfg, graph)),
-    }
-    if cfg.edits is not None:
-        log, names = _load_edit_log(cfg)
-        jobs["categories"] = lambda: _category_payload(log, names, cfg)
-        jobs["entropy"] = lambda: _entropy_payload(log, cfg)
-
-    def guarded(job):
+    for name, section in sections.items():
         # a section that is undefined for this input reports its reason
         # instead of sinking the whole document
         try:
-            return job()
+            report[name] = section()
         except WgmError as err:
-            return {"error": str(err)}
-
-    # sections are independent; assembly order is fixed regardless of scheduling
-    with ThreadPoolExecutor(max_workers=cfg.worker_count()) as pool:
-        futures = {name: pool.submit(guarded, job) for name, job in jobs.items()}
-        for name in jobs:
-            sections[name] = futures[name].result()
-    _emit_json(sections, cfg.out)
+            report[name] = {"error": str(err)}
+    _write(render(report), cfg.out)
 
 
 _COMMANDS = {
@@ -487,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--histogram",
         choices=("entropy", "active", "max-share"),
         default="entropy",
-        help="which histogram the csv format exports",
+        help="which histogram the csv format exports (--bin-width sets the entropy one)",
     )
 
     s = subs.add_parser("synth", help="write synthetic TSV datasets")
@@ -520,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, threads=_read_threads_env())
+    cfg = RunConfig(command=args.command)
     for name, value in vars(args).items():
         if name != "command" and hasattr(cfg, name) and value is not None:
             setattr(cfg, name, value)

@@ -21,7 +21,6 @@ __all__ = [
     "fit_power_law",
     "fit_power_law_mle",
     "top_k_by_degree",
-    "histogram_csv",
 ]
 
 SELECTORS = ("in", "out", "total")
@@ -232,10 +231,3 @@ def top_k_by_degree(graph: ArticleGraph, which: str = "total", k: int = 10) -> l
     ids = np.arange(graph.node_count)
     order = np.lexsort((ids, -degs))[: min(k, graph.node_count)]
     return [(int(i), int(degs[i])) for i in order]
-
-
-def histogram_csv(hist: DegreeHistogram) -> str:
-    """CSV export `degree,count`, ascending by degree."""
-    lines = ["degree,count"]
-    lines += [f"{k},{hist.entries[k]}" for k in sorted(hist.entries)]
-    return "\n".join(lines) + "\n"

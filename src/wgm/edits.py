@@ -31,6 +31,7 @@ __all__ = [
     "resolve_edits",
     "edits_per_author",
     "category_stats",
+    "category_report",
     "pareto_share",
     "top_k_share",
     "active_category_histogram",
@@ -40,10 +41,6 @@ __all__ = [
     "entropy_report",
     "entropy_histogram",
     "max_share_histogram",
-    "category_report_csv",
-    "entropy_histogram_csv",
-    "max_share_histogram_csv",
-    "active_category_csv",
 ]
 
 ANONYMOUS_AUTHOR = 0
@@ -55,14 +52,13 @@ MAX_HISTOGRAM_BINS = 1_000_000
 
 @dataclass(frozen=True)
 class EditLog:
-    """Raw records plus their category-resolved counts.
+    """Category-resolved edit counts.
 
     `resolved` maps (author_id, category_id) to an edit count; an edit
     to an article in k selected categories contributes one count to
     each of the k.
     """
 
-    records: tuple[EditRecord, ...]
     resolved: dict[tuple[int, int], int]
     categories: frozenset[int]
 
@@ -112,8 +108,7 @@ def resolve_edits(
 ) -> EditLog:
     """Attribute raw edits to the selected categories.
 
-    Edits to articles outside every selected category are dropped from
-    the resolved counts (the raw records are kept as-is).
+    Edits to articles outside every selected category are dropped.
     """
     if not categories:
         raise EmptyCategorySelection("need at least one selected category")
@@ -123,7 +118,7 @@ def resolve_edits(
         for cat in catmap.article_to_categories.get(rec.article_id, frozenset()) & selected:
             key = (rec.author_id, cat)
             resolved[key] = resolved.get(key, 0) + 1
-    return EditLog(records=tuple(records), resolved=resolved, categories=selected)
+    return EditLog(resolved=resolved, categories=selected)
 
 
 def _ranked_authors(log: EditLog, category: int, include_anonymous: bool) -> list[tuple[int, int]]:
@@ -182,6 +177,23 @@ def category_stats(
         top_fraction_share=pareto_share(log, category, top_fraction, include_anonymous),
         top1_share=top_k_share(log, category, 1, include_anonymous),
     )
+
+
+def category_report(
+    log: EditLog, top_fraction: float = 0.2, include_anonymous: bool = False
+) -> list[CategoryStats]:
+    """Statistics of every category with edits, ascending by id.
+
+    A category whose only edits are anonymous has no ranking without
+    `include_anonymous` and is skipped.
+    """
+    report = []
+    for cat in sorted({c for _, c in log.resolved}):
+        try:
+            report.append(category_stats(log, cat, top_fraction, include_anonymous))
+        except EmptyCategory:
+            continue
+    return report
 
 
 def active_category_histogram(log: EditLog) -> dict[int, int]:
@@ -262,48 +274,3 @@ def max_share_histogram(log: EditLog, bin_width: float = 0.05) -> list[tuple[flo
     """Bin every author's maximum-contribution share; the single-edit
     authors all land in the top bin at 1.0."""
     return _bin_values([max_share(p) for p in build_profiles(log)], bin_width)
-
-
-def category_report_csv(
-    log: EditLog,
-    category_names: dict[int, str],
-    top_fraction: float = 0.2,
-    include_anonymous: bool = False,
-) -> str:
-    """CSV `category,n_edits,n_authors,ea_bar,top20pct_share,top1_share`.
-
-    One row per selected category that has edits, ascending by id.
-    """
-    lines = ["category,n_edits,n_authors,ea_bar,top20pct_share,top1_share"]
-    present = sorted({cat for _, cat in log.resolved})
-    for cat in present:
-        st = category_stats(log, cat, top_fraction, include_anonymous)
-        name = category_names.get(cat, str(cat))
-        lines.append(
-            f"{name},{st.n_edits},{st.n_authors},{st.ea_bar!r},{st.top_fraction_share!r},{st.top1_share!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def entropy_histogram_csv(report: EntropyReport, bin_width: float = 0.25) -> str:
-    """CSV `bin_lower,bin_upper,author_count`."""
-    lines = ["bin_lower,bin_upper,author_count"]
-    for lo, hi, count in entropy_histogram(report, bin_width):
-        lines.append(f"{lo!r},{hi!r},{count}")
-    return "\n".join(lines) + "\n"
-
-
-def max_share_histogram_csv(log: EditLog, bin_width: float = 0.05) -> str:
-    """CSV `bin_lower,bin_upper,author_count` over maximum shares."""
-    lines = ["bin_lower,bin_upper,author_count"]
-    for lo, hi, count in max_share_histogram(log, bin_width):
-        lines.append(f"{lo!r},{hi!r},{count}")
-    return "\n".join(lines) + "\n"
-
-
-def active_category_csv(log: EditLog) -> str:
-    """CSV `active_categories,author_count`, ascending."""
-    hist = active_category_histogram(log)
-    lines = ["active_categories,author_count"]
-    lines += [f"{k},{hist[k]}" for k in sorted(hist)]
-    return "\n".join(lines) + "\n"

@@ -51,15 +51,10 @@ class EditRecord(NamedTuple):
 
 @dataclass
 class CategoryMap:
-    """Article-to-category membership plus category names.
-
-    `class_of_category` groups categories into coarser classes; it is
-    optional side data and never consulted by the metrics.
-    """
+    """Article-to-category membership plus category names."""
 
     article_to_categories: dict[int, frozenset[int]]
     category_names: dict[int, str]
-    class_of_category: dict[int, str] | None = None
 
     def categories(self) -> frozenset[int]:
         return frozenset(self.category_names)
@@ -91,11 +86,19 @@ def _data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def _decimal(value: str, what: str, lineno: int, path) -> int:
+    """The ASCII decimal integer `-?[0-9]+` that `value` spells; anything
+    else, such as `1_0`, `+5`, padding or non-ASCII digits, is a ParseError."""
+    digits = value[1:] if value[:1] == "-" else value
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(lineno, f"non-integer {what}: {value!r}", str(path))
+    return int(value)
+
+
 def _int_field(value: str, what: str, lineno: int, path) -> int:
-    try:
-        n = int(value)
-    except ValueError:
-        raise ParseError(lineno, f"non-integer {what}: {value!r}", str(path)) from None
+    if value.isdigit() and value.isascii():  # the common case, without a call
+        return int(value)
+    n = _decimal(value, what, lineno, path)
     if n < 0:
         raise ParseError(lineno, f"negative {what}: {n}", str(path))
     return n
@@ -110,10 +113,7 @@ def load_nodes(path: str | os.PathLike) -> list[NodeRecord]:
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 3 tab-separated fields, got {len(parts)}", str(path))
         node_id = _int_field(parts[0], "id", lineno, path)
-        try:
-            namespace = int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer namespace: {parts[2]!r}", str(path)) from None
+        namespace = _decimal(parts[2], "namespace", lineno, path)
         if node_id in seen:
             raise DuplicateNodeId(lineno, f"node id {node_id} already defined on line {seen[node_id]}", str(path))
         seen[node_id] = lineno

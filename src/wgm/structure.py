@@ -24,7 +24,6 @@ __all__ = [
     "exact_clustering",
     "sampled_clustering",
     "sampled_avg_path",
-    "trace_csv",
 ]
 
 
@@ -278,10 +277,3 @@ def sampled_avg_path(
         unreachable_fraction=(sampled - reachable) / sampled,
         seed=seed,
     )
-
-
-def trace_csv(trace: ClusteringTrace) -> str:
-    """CSV export `samples,running_mean` of a sampling trace."""
-    lines = ["samples,running_mean"]
-    lines += [f"{s},{m!r}" for s, m in trace.estimates]
-    return "\n".join(lines) + "\n"

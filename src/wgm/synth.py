@@ -6,7 +6,6 @@ estimators and fitters are validated against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -16,43 +15,11 @@ from .graph import ArticleGraph, build_graph
 from .ingest import CategoryMap, EditRecord
 
 __all__ = [
-    "GeneratorSpec",
     "SyntheticEdits",
     "generate_preferential",
     "generate_uniform",
     "generate_zipf_edits",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Config record for a graph generator run.
-
-    kind 'preferential_attachment' uses `m` (edges per new node);
-    kind 'uniform_random' uses `p` (independent edge probability).
-    """
-
-    kind: str
-    n: int
-    seed: int
-    m: int | None = None
-    p: float | None = None
-
-    def validate(self) -> None:
-        if self.kind == "preferential_attachment":
-            if self.m is None or not 1 <= self.m < self.n:
-                raise InvalidSpec(f"preferential attachment needs 1 <= m < n, got m={self.m}, n={self.n}")
-        elif self.kind == "uniform_random":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise InvalidSpec(f"uniform random needs 0 <= p <= 1, got p={self.p}")
-        else:
-            raise InvalidSpec(f"unknown generator kind {self.kind!r}")
-
-    def generate(self) -> ArticleGraph:
-        self.validate()
-        if self.kind == "preferential_attachment":
-            return generate_preferential(self.n, self.m, self.seed)
-        return generate_uniform(self.n, self.p, self.seed)
 
 
 class SyntheticEdits(NamedTuple):
@@ -70,7 +37,7 @@ def generate_preferential(n: int, m: int, seed: int) -> ArticleGraph:
     edge-endpoint multiset, with rejection to keep targets distinct).
     """
     if not 1 <= m < n:
-        raise InvalidSpec(f"need 1 <= m < n, got m={m}, n={n}")
+        raise InvalidSpec(f"preferential attachment needs 1 <= m < n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
 
     edges: list[tuple[int, int]] = []
@@ -107,10 +74,10 @@ def generate_uniform(n: int, p: float, seed: int) -> ArticleGraph:
     independently with probability p. Sparse geometric skipping keeps
     the cost proportional to the edge count.
     """
+    if not 0.0 <= p <= 1.0:
+        raise InvalidSpec(f"uniform random needs 0 <= p <= 1, got p={p}")
     if n < 0:
         raise InvalidSpec(f"need n >= 0, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise InvalidSpec(f"need 0 <= p <= 1, got {p}")
     pair_count = n * (n - 1)
     edges: list[tuple[int, int]] = []
     if p >= 1.0:

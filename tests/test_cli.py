@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MIN_BIN_WIDTH, RunConfig, main
+from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MIN_BIN_WIDTH, RunConfig, main, render
+from wgm.degrees import DegreeHistogram
 from wgm.edits import HISTOGRAM_VALUE_BOUND, MAX_HISTOGRAM_BINS
 from wgm.errors import UsageError
+from wgm.structure import PathSampleResult
 
 
 def run(capsys, *argv):
@@ -28,6 +30,24 @@ def write_edit_fixture(tmp_path):
         str(tmp_path / "catmap.tsv"),
         str(tmp_path / "catnames.tsv"),
     )
+
+
+class TestRender:
+    def test_json_keeps_properties_and_rows(self):
+        hist = DegreeHistogram(entries={3: 1, 0: 2}, which="in")
+        assert json.loads(render(hist)) == {"entries": [[0, 2], [3, 1]], "which": "in", "zero_count": 2}
+
+    def test_nan_is_null_in_json_and_none_in_flat_csv(self):
+        res = PathSampleResult(float("nan"), 0, 5, 1.0, 7)
+        assert json.loads(render(res))["mean_path_length"] is None
+        assert render(res, "csv").splitlines() == [
+            "key,value",
+            "mean_path_length,None",
+            "reachable_pairs,0",
+            "sampled_pairs,5",
+            "seed,7",
+            "unreachable_fraction,1.0",
+        ]
 
 
 class TestClassify:
@@ -228,6 +248,30 @@ class TestEditCommands:
         assert code == 0
         assert out.startswith("bin_lower,bin_upper,author_count\n")
 
+    def test_max_share_csv_rows_equal_json(self, data_dir, capsys):
+        base = ["entropy", *(f"--{n}={data_dir / n}.tsv" for n in ("edits", "catmap", "catnames"))]
+        code, out, _ = run(capsys, *base)
+        assert code == 0
+        expected = json.loads(out)["max_share_histogram"]
+        # --bin-width sets the entropy histogram only
+        for extra in ([], ["--bin-width", "0.1"]):
+            code, out, _ = run(capsys, *base, *extra, "--format", "csv", "--histogram", "max-share")
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [[float(lo), float(hi), int(c)] for lo, hi, c in rows] == expected
+
+    def test_anonymous_only_category_skipped_in_both_formats(self, tmp_path, capsys):
+        _, catmap, catnames = write_edit_fixture(tmp_path)
+        # article 11 is alone in category 6, edited only by the anonymous author
+        (tmp_path / "edits.tsv").write_text("1\t10\n2\t10\n0\t11\n", encoding="utf-8")
+        base = ["categories", "--edits", str(tmp_path / "edits.tsv"), "--catmap", catmap, "--catnames", catnames]
+        code, out, err = run(capsys, *base, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == "category,n_edits,n_authors,ea_bar,top20pct_share,top1_share\nscience,2,2,1.0,0.5,0.5\n"
+        code, out, _ = run(capsys, *base)
+        assert code == 0
+        assert [row["category"] for row in json.loads(out)] == ["science"]
+
 
 class TestSynth:
     def test_preferential_writes_loadable_tsvs(self, tmp_path, capsys):
@@ -275,6 +319,16 @@ class TestSynth:
         )
         assert code == 0
         assert sum(row["n_edits"] for row in json.loads(out)) == 500
+
+    def test_uniform_dispatch_and_generator_errors(self, tmp_path, capsys):
+        out = str(tmp_path / "u")
+        code, _, _ = run(capsys, "synth", "--kind", "uniform", "--n", "30", "--p", "1.0", "--out", out)
+        assert code == 0
+        assert (tmp_path / "u" / "edges.tsv").read_text(encoding="utf-8").count("\n") == 30 * 29
+        code, _, err = run(capsys, "synth", "--kind", "preferential", "--n", "5", "--m", "9", "--out", out)
+        assert (code, err) == (5, "error: preferential attachment needs 1 <= m < n, got m=9, n=5\n")
+        code, _, err = run(capsys, "synth", "--kind", "uniform", "--n", "5", "--p", "2", "--out", out)
+        assert (code, err) == (5, "error: uniform random needs 0 <= p <= 1, got p=2.0\n")
 
     def test_synth_requires_out(self, capsys):
         code, _, err = run(capsys, "synth", "--kind", "uniform", "--n", "10", "--p", "0.1")
@@ -405,11 +459,6 @@ class TestExitCodes:
         )
         assert code == 5
 
-    def test_bad_threads_env_is_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("WGM_THREADS", "many")
-        nodes, edges = write_cycle_fixture(tmp_path)
-        assert run(capsys, "degrees", "--nodes", nodes, "--edges", edges)[0] == 2
-
     def test_threads_env_accepted(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WGM_THREADS", "2")
         nodes, edges = write_cycle_fixture(tmp_path)
@@ -417,6 +466,16 @@ class TestExitCodes:
             capsys, "report", "--nodes", nodes, "--edges", edges, "--samples", "100", "--pairs", "10"
         )
         assert code == 0
+
+    def test_threads_env_ignored(self, tmp_path, capsys, monkeypatch):
+        nodes, edges = write_cycle_fixture(tmp_path)
+        argv = ("report", "--nodes", nodes, "--edges", edges, "--samples", "100", "--pairs", "10")
+        monkeypatch.delenv("WGM_THREADS", raising=False)
+        expected = run(capsys, *argv)
+        for value in ("many", "-1", "2"):
+            monkeypatch.setenv("WGM_THREADS", value)
+            assert run(capsys, *argv) == expected
+        assert expected[0] == 0
 
 
 class TestSizeCaps:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from wgm.cli import DEGREE_COLUMNS, render
 from wgm.degrees import (
     DegreeHistogram,
     classify_authorities,
     degree_histogram,
     fit_power_law,
     fit_power_law_mle,
-    histogram_csv,
     top_k_by_degree,
 )
 from wgm.errors import (
@@ -58,7 +58,8 @@ class TestDegreeHistogram:
             degree_histogram(build_graph([], 0))
 
     def test_csv_export(self, star6):
-        assert histogram_csv(degree_histogram(star6, "in")) == "degree,count\n0,1\n1,5\n"
+        hist = degree_histogram(star6, "in")
+        assert render(hist.entries, "csv", DEGREE_COLUMNS) == "degree,count\n0,1\n1,5\n"
 
 
 class TestClassifyAuthorities:

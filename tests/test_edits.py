@@ -2,19 +2,18 @@ import math
 
 import pytest
 
+from wgm.cli import ACTIVE_COLUMNS, BIN_COLUMNS, main, render
 from wgm.edits import (
     ANONYMOUS_AUTHOR,
     MAX_HISTOGRAM_BINS,
     AuthorProfile,
-    active_category_csv,
     active_category_histogram,
     author_entropy,
     build_profiles,
-    category_report_csv,
+    category_report,
     category_stats,
     edits_per_author,
     entropy_histogram,
-    entropy_histogram_csv,
     entropy_report,
     max_share,
     max_share_histogram,
@@ -179,7 +178,7 @@ class TestActiveCategoryHistogram:
 
     def test_empty_log(self):
         log = make_log([(1, 10)], article_cats={10: frozenset([5])}, categories={5})
-        empty = type(log)(records=log.records, resolved={}, categories=log.categories)
+        empty = type(log)(resolved={}, categories=log.categories)
         with pytest.raises(EmptyLog):
             active_category_histogram(empty)
 
@@ -311,16 +310,30 @@ class TestHistogramAndCsv:
             entropy_histogram(entropy_report(log), bin_width=width)
 
     def test_entropy_histogram_csv_header(self):
-        text = entropy_histogram_csv(entropy_report(make_log([(1, 0)])))
-        assert text.startswith("bin_lower,bin_upper,author_count\n")
+        text = render(entropy_histogram(entropy_report(make_log([(1, 0)]))), "csv", BIN_COLUMNS)
+        assert text == "bin_lower,bin_upper,author_count\n0.0,0.25,1\n"
 
-    def test_category_report_csv(self):
-        log = make_log([(1, 0)] * 4 + [(2, 0)] + [(1, 1)])
-        text = category_report_csv(log, {0: "alpha", 1: "beta"})
-        lines = text.strip().split("\n")
+    def test_category_report_csv(self, tmp_path, capsys):
+        files = {
+            "edits": "1\t0\n" * 4 + "2\t0\n1\t1\n",
+            "catmap": "0\t0\n1\t1\n",
+            "catnames": "0\talpha\n1\tbeta\n",
+        }
+        argv = ["categories", "--format", "csv"]
+        for name, text in files.items():
+            (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+            argv += [f"--{name}", str(tmp_path / f"{name}.tsv")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "category,n_edits,n_authors,ea_bar,top20pct_share,top1_share"
         assert lines[1].startswith("alpha,5,2,2.5,")
         assert lines[2].startswith("beta,1,1,1.0,")
+
+    def test_category_report_skips_anonymous_only(self):
+        log = make_log([(1, 0), (2, 0), (0, 1)])
+        assert [s.category_id for s in category_report(log)] == [0]
+        report = category_report(log, include_anonymous=True)
+        assert report == [category_stats(log, c, include_anonymous=True) for c in (0, 1)]
 
     def test_max_share_histogram_counts_all_authors(self):
         # author 1 splits 50/50 (share 0.5), authors 2 and 3 are single-category (share 1.0)
@@ -332,7 +345,8 @@ class TestHistogramAndCsv:
 
     def test_active_category_csv(self):
         log = make_log([(1, 0), (1, 1), (2, 0)])
-        assert active_category_csv(log) == "active_categories,author_count\n1,1\n2,1\n"
+        text = render(active_category_histogram(log), "csv", ACTIVE_COLUMNS)
+        assert text == "active_categories,author_count\n1,1\n2,1\n"
 
     def test_category_stats_fields(self):
         log = make_log([(1, 0)] * 8 + [(2, 0)] * 2)

@@ -23,6 +23,25 @@ GOLDEN = {
         ["paths", "--undirected", "--format", "csv", *GRAPH],
         "76aaefc7ee01ced4598c548baed9be090107c74025d3e615bb46ef3ced20c696",
     ),
+    "degrees": (["degrees", *GRAPH], "a38530ada0949f99115a467458764ffc784a3938d62e5a62cad1600aad54c563"),
+    "degrees-csv": (["degrees", "--format", "csv", *GRAPH], "3d4204ebcac9f031b245be3ea51251dd77711a9af14b663b9b8ac40ec6136015"),
+    "classify": (["classify", *GRAPH], "75811ac6cecc1611685fc9962adfd866f81a06b4e9b48766d8ad2c79713e7fc3"),
+    "classify-csv": (["classify", "--format", "csv", *GRAPH], "6c28a5ce5eca4041b07ba9b77916b362af8e1394e7628291624e534cc4969c0b"),
+    "fit": (["fit", *GRAPH], "0e16df71d8f7c33294bfce4f4727c40997cee4071ee408258fa83dc1151e210d"),
+    "fit-csv": (["fit", "--format", "csv", *GRAPH], "a14dc0c96bb2e42517f4a2faa36c4d998fd95faf2c29a6cf7adc7431ff6b4d65"),
+    "paths": (["paths", *GRAPH], "69d707e2750b94a4ded99d5937d64ab547e8601ddc776250ed23d5cf7042ddda"),
+    "cluster": (["cluster", *GRAPH], "84a272d14afffb7e0980c8e6aa3e1e7eb5225ba7d76f17b8b69179f86df954b1"),
+    "categories": (["categories", *EDITS], "e22b5f33180a3acc8422c61e0fc453b2405bb67e27c77e3c3b72c3820b164064"),
+    "categories-csv": (
+        ["categories", "--format", "csv", *EDITS],
+        "f3251cec0540aa4d3768ed20a4c9f51bc58be1b289681508c52a12ad895d98a2",
+    ),
+    "entropy": (["entropy", *EDITS], "8ddb1632f7f04e883d62b3470f0c38fedd71d5f16bf6ec3e764b91817c93e604"),
+    "entropy-csv": (["entropy", "--format", "csv", *EDITS], "12f9a23c106f5d92b211d2f6c50d0c8a9b327e2da805ec845b420f6c93ad18f5"),
+    "entropy-active-csv": (
+        ["entropy", "--format", "csv", "--histogram", "active", *EDITS],
+        "eb807d97faf9b88d906bc4bb96a5c27ef943d3ebeef9727eb3fb1f82c81b5cfe",
+    ),
 }
 
 

@@ -242,3 +242,46 @@ class TestEncoding:
         with pytest.raises(ParseError) as err:
             load_category_map(catmap, names)
         assert err.value.line == 1
+
+
+NOT_DECIMAL = ["1_0", " +5 ", "+5", " 5", "5 ", "٣", "²", "0x1", "1.0", "", "-", "--1"]
+
+
+class TestStrictDecimals:
+    """Ids and namespaces are ASCII `-?[0-9]+`; what else int() accepts is a parse error."""
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_node_table(self, tmp_path, value, column):
+        fields = ["1", "B", "0"]
+        fields[column] = value
+        path = _write(tmp_path, "nodes.tsv", "# nodes\n0\tA\t0\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_nodes(path)
+        assert (err.value.line, err.value.path) == (3, str(path))
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    def test_edit_log_and_category_map(self, tmp_path, value):
+        edits = _write(tmp_path, "edits.tsv", f"1\t2\n{value}\t2\n")
+        with pytest.raises(ParseError) as err:
+            load_edit_log(edits)
+        assert err.value.line == 2
+        names = _write(tmp_path, "catnames.tsv", f"5\tsci\n{value}\tart\n")
+        with pytest.raises(ParseError) as err:
+            load_category_map(_write(tmp_path, "catmap.tsv", ""), names)
+        assert err.value.line == 2
+
+    def test_negative_namespace_accepted(self, tmp_path):
+        path = _write(tmp_path, "nodes.tsv", "0\tSpecial:X\t-1\n1\tA\t-0\n")
+        assert [r.namespace for r in load_nodes(path)] == [-1, 0]
+
+    @pytest.mark.parametrize("value", ["1_0", " +5 ", "٣"])
+    def test_cli_exit_3_with_path_and_line(self, tmp_path, capsys, value):
+        from wgm.cli import main
+
+        nodes = _write(tmp_path, "nodes.tsv", f"0\tA\t0\n{value}\tB\t0\n")
+        edges = _write(tmp_path, "edges.tsv", "")
+        assert main(["degrees", "--nodes", str(nodes), "--edges", str(edges)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {nodes}:2: ")
+        assert err.count("\n") == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wgm import structure
+from wgm.cli import TRACE_COLUMNS, render
 from wgm.errors import DomainError, EmptyGraph, SingleNode
 from wgm.graph import build_graph
 from wgm.structure import (
@@ -11,7 +12,6 @@ from wgm.structure import (
     local_clustering,
     sampled_avg_path,
     sampled_clustering,
-    trace_csv,
 )
 from wgm.synth import generate_preferential, generate_uniform
 
@@ -92,7 +92,7 @@ class TestSampledClustering:
         t1 = sampled_clustering(g, 5000, seed=42)
         t2 = sampled_clustering(g, 5000, seed=42)
         assert t1 == t2
-        assert trace_csv(t1) == trace_csv(t2)
+        assert render(t1.estimates, "csv", TRACE_COLUMNS) == render(t2.estimates, "csv", TRACE_COLUMNS)
 
     def test_different_seeds_differ(self):
         g = seeded_graph(100, 400, seed=7)
@@ -205,7 +205,7 @@ class TestSampledAvgPath:
 def test_trace_csv_round_trip_values():
     g = triangles_graph(4)
     trace = sampled_clustering(g, 250, seed=8)
-    text = trace_csv(trace)
+    text = render(trace.estimates, "csv", TRACE_COLUMNS)
     lines = text.strip().split("\n")
     assert lines[0] == "samples,running_mean"
     parsed = [(int(s), float(m)) for s, m in (ln.split(",") for ln in lines[1:])]

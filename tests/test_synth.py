@@ -5,7 +5,6 @@ from wgm.degrees import degree_histogram, fit_power_law
 from wgm.edits import pareto_share, resolve_edits, top_k_share
 from wgm.errors import InvalidSpec
 from wgm.synth import (
-    GeneratorSpec,
     generate_preferential,
     generate_uniform,
     generate_zipf_edits,
@@ -83,25 +82,6 @@ class TestUniform:
             generate_uniform(5, -0.1, seed=0)
         with pytest.raises(InvalidSpec):
             generate_uniform(5, 1.1, seed=0)
-
-
-class TestGeneratorSpec:
-    def test_dispatch_preferential(self):
-        spec = GeneratorSpec("preferential_attachment", n=30, m=2, seed=4)
-        g = spec.generate()
-        assert g.node_count == 30
-
-    def test_dispatch_uniform(self):
-        spec = GeneratorSpec("uniform_random", n=30, p=0.1, seed=4)
-        assert spec.generate().node_count == 30
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidSpec):
-            GeneratorSpec("lattice", n=10, seed=0).validate()
-
-    def test_missing_parameter(self):
-        with pytest.raises(InvalidSpec):
-            GeneratorSpec("preferential_attachment", n=10, seed=0).validate()
 
 
 class TestZipfEdits:
