@@ -5,8 +5,8 @@ cluster, paths, fit, categories, entropy), the synthetic generators
 (synth), and a combined JSON report (report). Every run with a fixed
 config and fixed inputs is byte-reproducible.
 
-Exit codes: 0 success, 2 usage error, 3 parse error, 4 empty-input
-error, 5 numeric-domain error.
+Exit codes: 0 success, 2 usage error (an --out that cannot be written
+included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ class RunConfig:
             (0.0 < self.top_fraction <= 1.0, f"--top-fraction must be in (0, 1], got {self.top_fraction}"),
             (self.x_min >= 1, f"--xmin must be >= 1, got {self.x_min}"),
             (self.bin_width >= MIN_BIN_WIDTH, f"--bin-width must be >= {MIN_BIN_WIDTH}, got {self.bin_width}"),
+            (self.command != "report" or self.fmt == "json", "`report` writes JSON only, not --format csv"),
         ]
         for ok, message in checks:
             if not ok:
@@ -110,9 +111,8 @@ def _require(cfg: RunConfig, *names: str) -> None:
 def _load_graph(cfg: RunConfig) -> ArticleGraph:
     _require(cfg, "nodes", "edges")
     nodes = load_nodes(cfg.nodes)
-    id_space = max((rec.id for rec in nodes), default=-1) + 1
-    edges = load_edges(cfg.edges, id_space)
-    kept, remapped, _ = filter_main_namespace(nodes, edges)
+    edges = load_edges(cfg.edges)
+    kept, remapped, _ = filter_main_namespace(nodes, edges, path=cfg.edges)
     return build_graph(remapped, len(kept), titles=[rec.title for rec in kept])
 
 
@@ -150,22 +150,31 @@ def render(result, fmt: str = "json", columns: Sequence[str] | None = None) -> s
 
     JSON is the plain form of `result`. CSV is the rows of `result`
     under `columns`, or without them the flat record `result` as sorted
-    `key,value` rows. CSV floats are written with repr.
+    `key,value` rows. CSV floats are written with repr, and None and NaN
+    as an empty cell.
     """
     plain = _plain(result)
     if fmt == "json":
         return json.dumps(plain, sort_keys=True, indent=2) + "\n"
     rows = plain if columns is not None else sorted(plain.items())
     lines = [columns or ("key", "value"), *rows]
-    cells = ([repr(v) if isinstance(v, float) else str(v) for v in row] for row in lines)
+    cells = ([repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in row] for row in lines)
     return "".join(",".join(row) + "\n" for row in cells)
+
+
+def _unwritable(out, err: OSError) -> UsageError:
+    """An --out path that cannot be written is a usage error, not an input one."""
+    return UsageError(f"cannot write --out {out}: {err.strerror or err}")
 
 
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise _unwritable(out, err) from None
 
 
 def _emit(cfg: RunConfig, result, table: tuple[Sequence[str], object] | None = None) -> None:
@@ -213,7 +222,7 @@ def _entropy(cfg: RunConfig, log: ed.EditLog) -> dict:
         **vars(report),
         "histogram": ed.entropy_histogram(report, cfg.bin_width),
         "active_categories": ed.active_category_histogram(log),
-        "anonymous_active_categories": sum(1 for a, _ in log.resolved if a == ed.ANONYMOUS_AUTHOR) or None,
+        "anonymous_active_categories": log.active_categories(ed.ANONYMOUS_AUTHOR) or None,
         "max_share_histogram": ed.max_share_histogram(log),
     }
 
@@ -266,7 +275,10 @@ def _cmd_synth(cfg: RunConfig) -> None:
     if cfg.out is None:
         raise UsageError("--out directory is required for `synth`")
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise _unwritable(outdir, err) from None
 
     if cfg.synth_kind == "zipf-edits":
         data = sy.generate_zipf_edits(

@@ -11,7 +11,13 @@ single very active author.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -21,7 +27,7 @@ from .errors import (
     EmptyProfile,
     InvalidFraction,
 )
-from .ingest import CategoryMap, EditRecord
+from .ingest import CategoryMap
 
 __all__ = [
     "EditLog",
@@ -50,20 +56,33 @@ HISTOGRAM_VALUE_BOUND = 64.0
 MAX_HISTOGRAM_BINS = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EditLog:
-    """Category-resolved edit counts.
+    """Category-resolved edit counts as sorted COO columns.
 
-    `resolved` maps (author_id, category_id) to an edit count; an edit
-    to an article in k selected categories contributes one count to
-    each of the k.
+    Row i says that author `author[i]` made `count[i]` edits in category
+    `category[i]`. Rows are unique and sorted by (author, category). An
+    edit to an article in k selected categories counts once in each.
     """
 
-    resolved: dict[tuple[int, int], int]
+    author: np.ndarray
+    category: np.ndarray
+    count: np.ndarray
     categories: frozenset[int]
 
+    @cached_property
+    def resolved(self) -> Mapping[tuple[int, int], int]:
+        """The rows as a read-only (author_id, category_id) -> count mapping,
+        built on first use."""
+        keys = zip(self.author.tolist(), self.category.tolist())
+        return MappingProxyType(dict(zip(keys, self.count.tolist())))
+
     def authors(self) -> list[int]:
-        return sorted({a for a, _ in self.resolved})
+        return np.unique(self.author).tolist()
+
+    def active_categories(self, author: int) -> int:
+        """The number of categories `author` edited."""
+        return int(np.count_nonzero(self.author == author))
 
 
 @dataclass(frozen=True)
@@ -104,59 +123,78 @@ class EntropyReport:
 
 
 def resolve_edits(
-    records: list[EditRecord], catmap: CategoryMap, categories: frozenset[int] | set[int]
+    records: np.ndarray | Sequence[tuple[int, int]], catmap: CategoryMap, categories: frozenset[int] | set[int]
 ) -> EditLog:
-    """Attribute raw edits to the selected categories.
+    """Attribute raw (author_id, article_id) edits to the selected categories.
 
     Edits to articles outside every selected category are dropped.
     """
     if not categories:
         raise EmptyCategorySelection("need at least one selected category")
     selected = frozenset(categories)
-    resolved: dict[tuple[int, int], int] = {}
-    for rec in records:
-        for cat in catmap.article_to_categories.get(rec.article_id, frozenset()) & selected:
-            key = (rec.author_id, cat)
-            resolved[key] = resolved.get(key, 0) + 1
-    return EditLog(resolved=resolved, categories=selected)
+    edits = np.asarray(records if isinstance(records, np.ndarray) else list(records), dtype=np.int64).reshape(-1, 2)
+    member = np.array(
+        sorted((a, c) for a, cs in catmap.article_to_categories.items() for c in cs if c in selected),
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    cats = np.array(sorted(selected), dtype=np.int64)
+    member_category = np.searchsorted(cats, member[:, 1])
+    # one row per (edit, selected category of its article), located per distinct article
+    articles, article_of_edit = np.unique(edits[:, 1], return_inverse=True)
+    lo = np.searchsorted(member[:, 0], articles, side="left")
+    width = np.searchsorted(member[:, 0], articles, side="right") - lo
+    lo, width = lo[article_of_edit.reshape(-1)], width[article_of_edit.reshape(-1)]
+    first = np.cumsum(width) - width
+    member_row = np.arange(int(width.sum())) - np.repeat(first - lo, width)
+    authors, author_index = np.unique(np.repeat(edits[:, 0], width), return_inverse=True)
+    # dense (author, category) keys sort author-major
+    keys, count = np.unique(author_index.reshape(-1) * cats.size + member_category[member_row], return_counts=True)
+    return EditLog(
+        author=authors[keys // cats.size],
+        category=cats[keys % cats.size],
+        count=count.astype(np.int64),
+        categories=selected,
+    )
 
 
-def _ranked_authors(log: EditLog, category: int, include_anonymous: bool) -> list[tuple[int, int]]:
-    """(author, count) for one category, by descending count then ascending id."""
-    counts = [
-        (author, count)
-        for (author, cat), count in log.resolved.items()
-        if cat == category and (include_anonymous or author != ANONYMOUS_AUTHOR)
-    ]
-    if not counts:
-        raise EmptyCategory(f"category {category} has no edits")
-    counts.sort(key=lambda ac: (-ac[1], ac[0]))
-    return counts
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """The index of the first element of each run of equal values."""
+    change = np.ones(keys.size, dtype=bool)
+    change[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(change)
+
+
+def _ranking(log: EditLog, category: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(author, category, count) rows by ascending category, then descending
+    count, then ascending author id; only `category`'s rows if it is given."""
+    rows = slice(None) if category is None else log.category == category
+    author, cat, count = log.author[rows], log.category[rows], log.count[rows]
+    order = np.lexsort((author, -count, cat))
+    return author[order], cat[order], count[order]
 
 
 def edits_per_author(log: EditLog, category: int) -> float:
     """Total category edits divided by its distinct authors."""
-    ranked = _ranked_authors(log, category, include_anonymous=True)
-    return sum(c for _, c in ranked) / len(ranked)
+    return category_stats(log, category, include_anonymous=True).ea_bar
 
 
 def pareto_share(
     log: EditLog, category: int, top_fraction: float = 0.2, include_anonymous: bool = False
 ) -> float:
     """Edit share of the top `top_fraction` of the category's authors."""
-    if not 0.0 < top_fraction <= 1.0:
-        raise InvalidFraction(f"top_fraction must be in (0, 1], got {top_fraction}")
-    ranked = _ranked_authors(log, category, include_anonymous)
-    head = math.ceil(top_fraction * len(ranked))
-    return sum(c for _, c in ranked[:head]) / sum(c for _, c in ranked)
+    return category_stats(log, category, top_fraction, include_anonymous).top_fraction_share
 
 
 def top_k_share(log: EditLog, category: int, k: int = 1, include_anonymous: bool = False) -> float:
     """Edit share of the k most active authors in the category."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    ranked = _ranked_authors(log, category, include_anonymous)
-    return sum(c for _, c in ranked[:k]) / sum(c for _, c in ranked)
+    author, _, count = _ranking(log, category)
+    if not include_anonymous:
+        count = count[author != ANONYMOUS_AUTHOR]
+    if not count.size:
+        raise EmptyCategory(f"category {category} has no edits")
+    return int(count[:k].sum()) / int(count.sum())
 
 
 def category_stats(
@@ -167,16 +205,10 @@ def category_stats(
     Edit and author counts cover every author in the resolved log; the
     share columns honor `include_anonymous`.
     """
-    ranked = _ranked_authors(log, category, include_anonymous=True)
-    n_edits = sum(c for _, c in ranked)
-    return CategoryStats(
-        category_id=category,
-        n_edits=n_edits,
-        n_authors=len(ranked),
-        ea_bar=n_edits / len(ranked),
-        top_fraction_share=pareto_share(log, category, top_fraction, include_anonymous),
-        top1_share=top_k_share(log, category, 1, include_anonymous),
-    )
+    stats = _category_stats(log, top_fraction, include_anonymous, category)
+    if not stats:
+        raise EmptyCategory(f"category {category} has no edits")
+    return stats[0]
 
 
 def category_report(
@@ -187,38 +219,65 @@ def category_report(
     A category whose only edits are anonymous has no ranking without
     `include_anonymous` and is skipped.
     """
+    return _category_stats(log, top_fraction, include_anonymous)
+
+
+def _category_stats(
+    log: EditLog, top_fraction: float, include_anonymous: bool, category: int | None = None
+) -> list[CategoryStats]:
+    """The statistics of every ranked category (or only `category`), from
+    one ranking of the rows."""
+    if not 0.0 < top_fraction <= 1.0:
+        raise InvalidFraction(f"top_fraction must be in (0, 1], got {top_fraction}")
+    author, cat, count = _ranking(log, category)
+    if not count.size:
+        return []
+    starts = _run_starts(cat)
+    totals = zip(np.add.reduceat(count, starts).tolist(), np.diff(starts, append=cat.size).tolist())
+    edits_authors = dict(zip(cat[starts].tolist(), totals))
+    if not include_anonymous:
+        named = author != ANONYMOUS_AUTHOR
+        cat, count = cat[named], count[named]
+        starts = _run_starts(cat)
+    # the head of a ranked group is a difference of two prefix sums
+    sizes = np.diff(starts, append=cat.size)
+    prefix = np.concatenate([[0], np.cumsum(count)])
+    heads = np.ceil(top_fraction * sizes).astype(np.int64)
+    base = prefix[starts]
+    columns = (
+        cat[starts].tolist(),
+        (prefix[starts + heads] - base).tolist(),
+        (prefix[starts + 1] - base).tolist(),
+        (prefix[starts + sizes] - base).tolist(),
+    )
     report = []
-    for cat in sorted({c for _, c in log.resolved}):
-        try:
-            report.append(category_stats(log, cat, top_fraction, include_anonymous))
-        except EmptyCategory:
-            continue
+    for category_id, head, top1, total in zip(*columns):
+        n_edits, n_authors = edits_authors[category_id]
+        report.append(CategoryStats(category_id, n_edits, n_authors, n_edits / n_authors, head / total, top1 / total))
     return report
+
+
+def _author_runs(log: EditLog) -> tuple[np.ndarray, np.ndarray]:
+    """First row and row count of each author's run of rows."""
+    if not log.count.size:
+        raise EmptyLog("the resolved edit log is empty")
+    starts = _run_starts(log.author)
+    return starts, np.diff(starts, append=log.author.size)
 
 
 def active_category_histogram(log: EditLog) -> dict[int, int]:
     """Map active-category count -> number of authors with that count."""
-    if not log.resolved:
-        raise EmptyLog("the resolved edit log is empty")
-    active: dict[int, int] = {}
-    for author, _ in log.resolved:
-        active[author] = active.get(author, 0) + 1
-    hist: dict[int, int] = {}
-    for n in active.values():
-        hist[n] = hist.get(n, 0) + 1
-    return hist
+    active, authors = np.unique(_author_runs(log)[1], return_counts=True)
+    return dict(zip(active.tolist(), authors.tolist()))
 
 
 def build_profiles(log: EditLog) -> list[AuthorProfile]:
     """Per-author category counts, sorted by author id."""
-    if not log.resolved:
-        raise EmptyLog("the resolved edit log is empty")
-    by_author: dict[int, dict[int, int]] = {}
-    for (author, cat), count in log.resolved.items():
-        by_author.setdefault(author, {})[cat] = count
+    starts, sizes = _author_runs(log)
+    cats, counts = log.category.tolist(), log.count.tolist()
     return [
-        AuthorProfile(author_id=a, edits_per_category=cats, total_edits=sum(cats.values()))
-        for a, cats in sorted(by_author.items())
+        AuthorProfile(a, dict(zip(cats[s : s + n], counts[s : s + n])), sum(counts[s : s + n]))
+        for a, s, n in zip(log.author[starts].tolist(), starts.tolist(), sizes.tolist())
     ]
 
 
@@ -240,29 +299,37 @@ def author_entropy(profile: AuthorProfile) -> float:
 
 
 def entropy_report(log: EditLog) -> EntropyReport:
-    """Entropy per author (anonymous aggregate included) with summary."""
-    profiles = build_profiles(log)
-    entries = tuple((p.author_id, author_entropy(p)) for p in profiles)
-    values = [h for _, h in entries]
+    """Entropy per author (anonymous aggregate included) with summary.
+
+    Each entropy is :func:`author_entropy` of the author's profile: every
+    term is `p * math.log2(p)` and each author's terms are summed with
+    `math.fsum`, which numpy's vectorized log2 and pairwise sums would
+    not reproduce to the last bit.
+    """
+    starts, sizes = _author_runs(log)
+    # an int64 quotient of two counts below 2**53 rounds as Python's int / int
+    share = log.count / np.repeat(np.add.reduceat(log.count, starts), sizes)
+    terms = [p * math.log2(p) for p in share.tolist()]
+    values = [-math.fsum(terms[s : s + n]) for s, n in zip(starts.tolist(), sizes.tolist())]
     return EntropyReport(
-        entries=entries,
+        entries=tuple(zip(log.author[starts].tolist(), values)),
         min_entropy=min(values),
         max_entropy=max(values),
         mean_entropy=math.fsum(values) / len(values),
     )
 
 
-def _bin_values(values: list[float], bin_width: float) -> list[tuple[float, float, int]]:
+def _bin_values(values: Sequence[float] | np.ndarray, bin_width: float) -> list[tuple[float, float, int]]:
     if bin_width <= 0:
         raise DomainError(f"bin_width must be > 0, got {bin_width}")
-    span = max(values) / bin_width
+    values = np.asarray(values, dtype=np.float64)
+    span = float(values.max()) / bin_width
     if not span < MAX_HISTOGRAM_BINS:
         raise DomainError(f"bin_width {bin_width} needs more than {MAX_HISTOGRAM_BINS} bins")
     n_bins = max(1, math.floor(span) + 1)
-    counts = [0] * n_bins
-    for v in values:
-        counts[min(int(v / bin_width), n_bins - 1)] += 1
-    return [(i * bin_width, (i + 1) * bin_width, c) for i, c in enumerate(counts)]
+    # astype truncates toward zero, as int() does
+    counts = np.bincount(np.minimum((values / bin_width).astype(np.int64), n_bins - 1), minlength=n_bins)
+    return [(i * bin_width, (i + 1) * bin_width, c) for i, c in enumerate(counts.tolist())]
 
 
 def entropy_histogram(report: EntropyReport, bin_width: float = 0.25) -> list[tuple[float, float, int]]:
@@ -273,4 +340,5 @@ def entropy_histogram(report: EntropyReport, bin_width: float = 0.25) -> list[tu
 def max_share_histogram(log: EditLog, bin_width: float = 0.05) -> list[tuple[float, float, int]]:
     """Bin every author's maximum-contribution share; the single-edit
     authors all land in the top bin at 1.0."""
-    return _bin_values([max_share(p) for p in build_profiles(log)], bin_width)
+    starts, _ = _author_runs(log)
+    return _bin_values(np.maximum.reduceat(log.count, starts) / np.add.reduceat(log.count, starts), bin_width)

@@ -12,7 +12,8 @@ class WgmError(Exception):
 
 
 class UsageError(WgmError):
-    """Invalid flag or configuration value, caught before any I/O."""
+    """Invalid flag or configuration value, caught before any I/O, or an
+    output path that cannot be written."""
 
     exit_code = 2
 
@@ -59,7 +60,7 @@ class UnknownNodeInEdge(ParseError):
 
 
 class EndpointOutOfRange(DomainError):
-    """An edge endpoint is negative or >= node_count."""
+    """An edge handed to build_graph has an endpoint < 0 or >= node_count."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

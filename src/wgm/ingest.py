@@ -4,17 +4,25 @@ category maps, plus the main-namespace filter.
 All files are UTF-8, one record per line, fields separated by single
 tabs. Lines starting with '#' and blank lines are skipped. Every parse
 failure carries its 1-based physical line number.
+
+The all-integer files (edge lists, edit logs, category maps) are read
+whole and parsed in numpy into `(n, k)` int64 arrays. Bytes that parser
+does not expect send the file through the line-by-line scan instead,
+which parses the same records or names the offending line.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import (
     DuplicateNodeId,
-    EndpointOutOfRange,
     ParseError,
     UnknownNodeInEdge,
     UnnamedCategory,
@@ -36,6 +44,11 @@ __all__ = [
 ]
 
 MAIN_NAMESPACE = 0
+# ids and namespaces are int64: they lie in [INT64_MIN, INT64_MAX]
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# the widest token the array parser converts; 10**18 - 1 fits int64
+FAST_DIGITS = 18
+_COMMENT_LINE = re.compile(rb"\n#[^\n]*")
 
 
 class NodeRecord(NamedTuple):
@@ -87,16 +100,23 @@ def _data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
 
 
 def _decimal(value: str, what: str, lineno: int, path) -> int:
-    """The ASCII decimal integer `-?[0-9]+` that `value` spells; anything
-    else, such as `1_0`, `+5`, padding or non-ASCII digits, is a ParseError."""
+    """The int64 that the ASCII decimal `-?[0-9]+` in `value` spells; anything
+    else, such as `1_0`, `+5`, padding, non-ASCII digits or a value outside
+    the int64 range, is a ParseError."""
     digits = value[1:] if value[:1] == "-" else value
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(lineno, f"non-integer {what}: {value!r}", str(path))
-    return int(value)
+    significant = digits.lstrip("0")
+    # measured before int(), which refuses strings of 4,300+ digits
+    n = int(significant or "0") if len(significant) <= 19 else INT64_MAX + 1
+    n = -n if value[:1] == "-" else n
+    if not INT64_MIN <= n <= INT64_MAX:
+        raise ParseError(lineno, f"{what} outside the int64 range: {value[:24]}", str(path))
+    return n
 
 
 def _int_field(value: str, what: str, lineno: int, path) -> int:
-    if value.isdigit() and value.isascii():  # the common case, without a call
+    if len(value) <= FAST_DIGITS and value.isdigit() and value.isascii():  # the common case, without a call
         return int(value)
     n = _decimal(value, what, lineno, path)
     if n < 0:
@@ -121,36 +141,84 @@ def load_nodes(path: str | os.PathLike) -> list[NodeRecord]:
     return records
 
 
-def _load_pairs(path: str | os.PathLike, what: tuple[str, str]) -> list[tuple[int, int, int]]:
-    """Parse two-integer-field lines; returns (first, second, lineno) triples."""
-    out = []
+def _int_columns(data: bytes, k: int) -> np.ndarray | None:
+    """The `(n, k)` int64 array of a file of k non-negative integer columns.
+
+    Returns None, leaving the verdict to the line scan, on any byte it does
+    not expect: CR, non-ASCII, a sign, an empty field, a wrong field count
+    or a token of more than FAST_DIGITS digits.
+    """
+    if b"\r" in data or not data.isascii():
+        return None
+    if b"#" in data:
+        # a comment line goes with the newline before it; the first line gets one
+        data = _COMMENT_LINE.sub(b"", b"\n" + data)
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = buf == ord("\n")
+    blank = newline.copy()  # a newline at the start or right after another
+    blank[1:] &= newline[:-1]
+    if blank.any():
+        buf = buf[~blank]
+    # every byte but a digit ends a field; row by row the ends must read k-1 tabs, then a newline
+    ends = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
+    if ends.size % k:
+        return None
+    kinds = buf[ends].reshape(-1, k)
+    if not ((kinds[:, :-1] == ord("\t")).all() and (kinds[:, -1] == ord("\n")).all()):
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    if ends.size and not 1 <= widths.min() <= widths.max() <= FAST_DIGITS:
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for place in range(int(widths.max()) if ends.size else 0):
+        # the digit `place + 1` bytes before each field's end; fields narrower
+        # than that read another field's byte (or wrap around), masked to 0
+        digit = buf[ends - (place + 1)].astype(np.int64) - ord("0")
+        digit *= widths > place
+        values += digit * 10**place
+    return values.reshape(-1, k)
+
+
+def _scan_int_columns(path: str | os.PathLike, what: tuple[str, ...]) -> np.ndarray:
+    """The line-by-line parse of a file of non-negative integer columns."""
+    rows = []
     for lineno, line in _data_lines(path):
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected 2 tab-separated fields, got {len(parts)}", str(path))
-        a = _int_field(parts[0], what[0], lineno, path)
-        b = _int_field(parts[1], what[1], lineno, path)
-        out.append((a, b, lineno))
-    return out
+        if len(parts) != len(what):
+            raise ParseError(lineno, f"expected {len(what)} tab-separated fields, got {len(parts)}", str(path))
+        rows.append([_int_field(value, name, lineno, path) for value, name in zip(parts, what)])
+    return np.array(rows, dtype=np.int64).reshape(-1, len(what))
 
 
-def load_edges(path: str | os.PathLike, node_count: int) -> list[tuple[int, int]]:
-    """Parse an edge list: `source_id<TAB>target_id`, ids < node_count."""
-    edges = []
-    for src, dst, lineno in _load_pairs(path, ("source id", "target id")):
-        if src >= node_count or dst >= node_count:
-            bad = src if src >= node_count else dst
-            raise EndpointOutOfRange(f"endpoint {bad} not in [0, {node_count})", line=lineno)
-        edges.append((src, dst))
-    return edges
+def _read_int_columns(path: str | os.PathLike, what: tuple[str, ...]) -> np.ndarray:
+    """Parse a file of non-negative integer columns into an `(n, k)` int64 array."""
+    with open(path, "rb") as fh:
+        table = _int_columns(fh.read(), len(what))
+    return _scan_int_columns(path, what) if table is None else table
 
 
-def load_edit_log(path: str | os.PathLike) -> list[EditRecord]:
-    """Parse an edit log: `author_id<TAB>article_id`, one record per edit.
+def _record_line(path: str | os.PathLike, ordinal: int) -> int:
+    """The physical line of the file's `ordinal`-th (1-based) data record."""
+    return next(islice(_data_lines(path), ordinal - 1, None), (ordinal, ""))[0]
+
+
+def load_edges(path: str | os.PathLike) -> np.ndarray:
+    """Parse an edge list `source_id<TAB>target_id` into an `(n, 2)` array.
+
+    Whether each id names a node is checked by :func:`filter_main_namespace`.
+    """
+    return _read_int_columns(path, ("source id", "target id"))
+
+
+def load_edit_log(path: str | os.PathLike) -> np.ndarray:
+    """Parse an edit log `author_id<TAB>article_id` into an `(n, 2)` array,
+    one row per edit.
 
     Duplicates are kept; repeat edits are meaningful.
     """
-    return [EditRecord(a, b) for a, b, _ in _load_pairs(path, ("author id", "article id"))]
+    return _read_int_columns(path, ("author id", "article id"))
 
 
 def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike) -> CategoryMap:
@@ -163,10 +231,14 @@ def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike
         cat_id = _int_field(parts[0], "category id", lineno, path_names)
         names[cat_id] = parts[1]
 
+    pairs = _read_int_columns(path_map, ("article id", "category id"))
+    named = np.isin(pairs[:, 1], np.fromiter(names, dtype=np.int64, count=len(names)))
+    if not named.all():
+        row = int(np.argmin(named))
+        line = _record_line(path_map, row + 1)
+        raise UnnamedCategory(line, f"category {pairs[row, 1]} has no name entry", str(path_map))
     members: dict[int, set[int]] = {}
-    for article, cat, lineno in _load_pairs(path_map, ("article id", "category id")):
-        if cat not in names:
-            raise UnnamedCategory(lineno, f"category {cat} has no name entry", str(path_map))
+    for article, cat in pairs.tolist():
         members.setdefault(article, set()).add(cat)
 
     return CategoryMap(
@@ -176,30 +248,39 @@ def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike
 
 
 def filter_main_namespace(
-    nodes: list[NodeRecord], edges: Iterable[tuple[int, int]]
-) -> tuple[list[NodeRecord], list[tuple[int, int]], dict[int, int]]:
-    """Keep main-namespace nodes only, densely renumbering ids.
+    nodes: list[NodeRecord], edges: Iterable[tuple[int, int]] | np.ndarray, *, path: str | os.PathLike | None = None
+) -> tuple[list[NodeRecord], np.ndarray, dict[int, int]]:
+    """Keep main-namespace nodes only, densely renumbering ids in table order.
 
-    Returns (filtered nodes, remapped edges, old-id -> new-id table).
-    Edges touching a removed node are dropped; edges referencing an id
-    absent from the node table raise :class:`UnknownNodeInEdge`.
+    Returns (filtered nodes, remapped `(n, 2)` edge array, old-id -> new-id
+    table). Edges touching a removed node are dropped; an edge referencing
+    an id absent from the node table raises :class:`UnknownNodeInEdge` at
+    its ordinal, or, given the `path` the edges were read from, at its
+    physical line in that file.
     """
-    known = {rec.id for rec in nodes}
-    remap: dict[int, int] = {}
-    kept: list[NodeRecord] = []
-    for rec in nodes:
-        if rec.namespace == MAIN_NAMESPACE:
-            remap[rec.id] = len(kept)
-            kept.append(NodeRecord(len(kept), rec.title, MAIN_NAMESPACE))
+    ids = np.fromiter((rec.id for rec in nodes), dtype=np.int64, count=len(nodes))
+    main = np.fromiter((rec.namespace == MAIN_NAMESPACE for rec in nodes), dtype=bool, count=len(nodes))
+    new_id = np.where(main, np.cumsum(main) - 1, -1)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
 
-    new_edges: list[tuple[int, int]] = []
-    for idx, (src, dst) in enumerate(edges, start=1):
-        if src not in known or dst not in known:
-            bad = src if src not in known else dst
-            raise UnknownNodeInEdge(idx, f"edge references unknown node id {bad}")
-        if src in remap and dst in remap:
-            new_edges.append((remap[src], remap[dst]))
-    return kept, new_edges, remap
+    arr = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=np.int64)
+    arr = arr.reshape(-1, 2)
+    at = np.minimum(np.searchsorted(sorted_ids, arr), max(len(nodes) - 1, 0))
+    known = sorted_ids[at] == arr if len(nodes) else np.zeros(arr.shape, dtype=bool)
+    if not known.all():
+        row = int(np.argmin(known.all(axis=1)))
+        bad = int(arr[row, 0] if not known[row, 0] else arr[row, 1])
+        reason = f"edge references unknown node id {bad}"
+        if path is None:
+            raise UnknownNodeInEdge(row + 1, reason)
+        raise UnknownNodeInEdge(_record_line(path, row + 1), reason, str(path))
+    mapped = new_id[order[at]]
+
+    kept_ids = ids[main].tolist()
+    titles = [rec.title for rec in nodes if rec.namespace == MAIN_NAMESPACE]
+    kept = [NodeRecord(i, title, MAIN_NAMESPACE) for i, title in enumerate(titles)]
+    return kept, mapped[(mapped >= 0).all(axis=1)], dict(zip(kept_ids, range(len(kept_ids))))
 
 
 def write_nodes(records: Iterable[NodeRecord], path: str | os.PathLike) -> None:

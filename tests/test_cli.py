@@ -37,17 +37,28 @@ class TestRender:
         hist = DegreeHistogram(entries={3: 1, 0: 2}, which="in")
         assert json.loads(render(hist)) == {"entries": [[0, 2], [3, 1]], "which": "in", "zero_count": 2}
 
-    def test_nan_is_null_in_json_and_none_in_flat_csv(self):
+    def test_nan_is_null_in_json_and_empty_in_flat_csv(self):
         res = PathSampleResult(float("nan"), 0, 5, 1.0, 7)
         assert json.loads(render(res))["mean_path_length"] is None
         assert render(res, "csv").splitlines() == [
             "key,value",
-            "mean_path_length,None",
+            "mean_path_length,",
             "reachable_pairs,0",
             "sampled_pairs,5",
             "seed,7",
             "unreachable_fraction,1.0",
         ]
+
+    def test_null_is_an_empty_table_cell(self):
+        assert render([[1, None], [2, float("nan")]], "csv", ("a", "b")) == "a,b\n1,\n2,\n"
+
+    def test_paths_csv_without_reachable_pairs(self, tmp_path, capsys):
+        (tmp_path / "nodes.tsv").write_text("0\tA\t0\n1\tB\t0\n", encoding="utf-8")
+        (tmp_path / "edges.tsv").write_text("", encoding="utf-8")
+        files = ["--nodes", str(tmp_path / "nodes.tsv"), "--edges", str(tmp_path / "edges.tsv")]
+        code, out, _ = run(capsys, "paths", "--format", "csv", *files)
+        assert code == 0
+        assert "mean_path_length,\n" in out
 
 
 class TestClassify:
@@ -330,6 +341,13 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--kind", "uniform", "--n", "5", "--p", "2", "--out", out)
         assert (code, err) == (5, "error: uniform random needs 0 <= p <= 1, got p=2.0\n")
 
+    def test_synth_unwritable_out_is_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, _, err = run(capsys, "synth", "--kind", "uniform", "--n", "10", "--out", str(blocker / "sub"))
+        assert code == 2
+        assert str(blocker / "sub") in err and err.count("\n") == 1
+
     def test_synth_requires_out(self, capsys):
         code, _, err = run(capsys, "synth", "--kind", "uniform", "--n", "10", "--p", "0.1")
         assert code == 2
@@ -458,6 +476,26 @@ class TestExitCodes:
             capsys, "fit", "--nodes", nodes, "--edges", edges, "--xmin", "50"
         )
         assert code == 5
+
+    def test_report_csv_is_2_before_io(self, tmp_path, capsys):
+        missing = [str(tmp_path / name) for name in ("n", "e")]
+        code, out, err = run(capsys, "report", "--format", "csv", "--nodes", missing[0], "--edges", missing[1])
+        assert (code, out) == (2, "")
+        assert "--format csv" in err and err.count("\n") == 1
+
+    def test_unwritable_out_is_2_naming_the_path(self, tmp_path, capsys):
+        nodes, edges = write_cycle_fixture(tmp_path)
+        out = tmp_path / "no" / "such" / "dir" / "x.json"
+        code, _, err = run(capsys, "degrees", "--nodes", nodes, "--edges", edges, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and str(out) in err
+        assert err.count("\n") == 1
+
+    def test_unreadable_input_is_still_3(self, tmp_path, capsys):
+        nodes, _ = write_cycle_fixture(tmp_path)
+        code, _, err = run(capsys, "degrees", "--nodes", nodes, "--edges", str(tmp_path))
+        assert code == 3
+        assert err.count("\n") == 1
 
     def test_threads_env_accepted(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("WGM_THREADS", "2")

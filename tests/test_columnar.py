@@ -1,0 +1,278 @@
+"""The columnar edit analytics and the array TSV parser against references.
+
+The references are the dict- and line-based algorithms the columnar code
+replaced, kept here verbatim in spirit: a dict of (author, category)
+counts scanned once per category, and a per-line parse. Results must be
+equal to the last bit, which the JSON bytes of `render` make visible
+(-0.0 included).
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wgm.cli import render
+from wgm.edits import (
+    ANONYMOUS_AUTHOR,
+    CategoryStats,
+    EntropyReport,
+    active_category_histogram,
+    category_report,
+    entropy_histogram,
+    entropy_report,
+    max_share_histogram,
+    resolve_edits,
+)
+from wgm.errors import EmptyCategory, ParseError
+from wgm.ingest import CategoryMap, _int_columns, _scan_int_columns, load_edges, load_edit_log
+
+
+# --- dict-based reference of the edit analytics -------------------------------
+
+
+def ref_resolve(records, article_to_categories, selected):
+    resolved = {}
+    for author, article in records:
+        for cat in article_to_categories.get(article, frozenset()) & selected:
+            resolved[(author, cat)] = resolved.get((author, cat), 0) + 1
+    return resolved
+
+
+def ref_ranked(resolved, category, include_anonymous):
+    counts = [
+        (author, count)
+        for (author, cat), count in resolved.items()
+        if cat == category and (include_anonymous or author != ANONYMOUS_AUTHOR)
+    ]
+    if not counts:
+        raise EmptyCategory(f"category {category} has no edits")
+    counts.sort(key=lambda ac: (-ac[1], ac[0]))
+    return counts
+
+
+def ref_category_report(resolved, top_fraction, include_anonymous):
+    report = []
+    for cat in sorted({c for _, c in resolved}):
+        every = ref_ranked(resolved, cat, True)
+        try:
+            ranked = ref_ranked(resolved, cat, include_anonymous)
+        except EmptyCategory:
+            continue
+        n_edits = sum(c for _, c in every)
+        head = math.ceil(top_fraction * len(ranked))
+        total = sum(c for _, c in ranked)
+        report.append(
+            CategoryStats(
+                cat,
+                n_edits,
+                len(every),
+                n_edits / len(every),
+                sum(c for _, c in ranked[:head]) / total,
+                ranked[0][1] / total,
+            )
+        )
+    return report
+
+
+def ref_profiles(resolved):
+    by_author = {}
+    for (author, cat), count in resolved.items():
+        by_author.setdefault(author, {})[cat] = count
+    return sorted(by_author.items())
+
+
+def ref_entropy_report(resolved):
+    entries = []
+    for author, cats in ref_profiles(resolved):
+        total = sum(cats.values())
+        entries.append((author, -math.fsum((c / total) * math.log2(c / total) for c in cats.values() if c > 0)))
+    values = [h for _, h in entries]
+    return EntropyReport(tuple(entries), min(values), max(values), math.fsum(values) / len(values))
+
+
+def ref_bins(values, bin_width):
+    n_bins = max(1, math.floor(max(values) / bin_width) + 1)
+    counts = [0] * n_bins
+    for v in values:
+        counts[min(int(v / bin_width), n_bins - 1)] += 1
+    return [(i * bin_width, (i + 1) * bin_width, c) for i, c in enumerate(counts)]
+
+
+def ref_active(resolved):
+    active = {}
+    for author, _ in resolved:
+        active[author] = active.get(author, 0) + 1
+    hist = {}
+    for n in active.values():
+        hist[n] = hist.get(n, 0) + 1
+    return hist
+
+
+def assert_plain_numbers(value):
+    """Every number is a Python int or float: a numpy scalar would reach the
+    CSV through repr as `np.float64(0.5)`, and json.dumps rejects np.int64."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            assert_plain_numbers(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            assert_plain_numbers(key)
+            assert_plain_numbers(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        assert_plain_numbers(list(vars(value).values()))
+    elif not isinstance(value, str):
+        assert type(value) in (int, float), (type(value), value)
+
+
+# small id ranges force ties, shared articles and repeat edits; author 0 is
+# the anonymous aggregate; runs of repeats vary the shares an entropy sums
+edit_logs = st.fixed_dictionaries(
+    {
+        "records": st.lists(
+            st.tuples(st.one_of(st.just(ANONYMOUS_AUTHOR), st.integers(0, 12)), st.integers(0, 19), st.integers(1, 60)),
+            max_size=60,
+        ).map(lambda runs: [(a, b) for a, b, n in runs for _ in range(n)]),
+        "membership": st.dictionaries(
+            st.integers(0, 21), st.frozensets(st.integers(0, 10), min_size=1, max_size=4), max_size=20
+        ),
+        "selected": st.frozensets(st.integers(0, 11), min_size=1),
+    }
+)
+
+
+def columnar_and_reference(log_data):
+    catmap = CategoryMap(
+        article_to_categories=log_data["membership"],
+        category_names={c: f"c{c}" for c in range(12)},
+    )
+    log = resolve_edits(log_data["records"], catmap, log_data["selected"])
+    ref = ref_resolve(log_data["records"], log_data["membership"], log_data["selected"])
+    return log, ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_data=edit_logs,
+    top_fraction=st.sampled_from([0.01, 0.2, 1 / 3, 0.5, 0.99, 1.0]),
+    include_anonymous=st.booleans(),
+)
+def test_category_report_matches_dict_reference(log_data, top_fraction, include_anonymous):
+    log, ref = columnar_and_reference(log_data)
+    assert log.resolved == ref
+    got = category_report(log, top_fraction, include_anonymous)
+    expected = ref_category_report(ref, top_fraction, include_anonymous)
+    assert render(got) == render(expected)
+    assert_plain_numbers(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_data=edit_logs, bin_width=st.sampled_from([0.05, 0.1, 0.25, 1 / 3, 1.0]))
+def test_entropy_side_matches_dict_reference(log_data, bin_width):
+    log, ref = columnar_and_reference(log_data)
+    if not ref:
+        return
+    report = entropy_report(log)
+    expected = ref_entropy_report(ref)
+    assert render(report) == render(expected)
+    hist = entropy_histogram(report, bin_width)
+    assert render(hist) == render(ref_bins([h for _, h in expected.entries], bin_width))
+    max_shares = [max(cats.values()) / sum(cats.values()) for _, cats in ref_profiles(ref)]
+    shares = max_share_histogram(log, bin_width)
+    assert render(shares) == render(ref_bins(max_shares, bin_width))
+    active = active_category_histogram(log)
+    assert active == ref_active(ref)
+    assert log.active_categories(ANONYMOUS_AUTHOR) == sum(1 for a, _ in ref if a == ANONYMOUS_AUTHOR)
+    assert_plain_numbers([report, hist, shares, active])
+
+
+# --- the array parser against the line scan ----------------------------------
+
+WHAT = ("author id", "article id")
+
+# pieces a field can be made of: plain ids, and everything the line scan
+# must judge (signs, blanks, CR, comments, non-UTF-8 bytes, 19+ digits)
+field_pieces = st.one_of(
+    st.integers(0, 10**18 - 1).map(lambda n: str(n).encode()),
+    st.integers(0, 2**64).map(lambda n: str(n).encode()),
+    st.integers(19, 40).map(lambda k: b"9" * k),
+    st.sampled_from(
+        [b"", b"0", b"007", b"-1", b"-0", b"+1", b" 1", b"1 ", b"#", b"\r", b"\xff", b"\xc3\xa9", b"\xe2\x82",
+         b"000000000000000000001", b"9223372036854775807", b"9223372036854775808", b"1_0", b"\x00", b"\x0c"]
+    ),
+)
+raw_lines = st.one_of(
+    st.lists(field_pieces, min_size=1, max_size=3).map(b"\t".join),
+    st.sampled_from([b"", b"# comment", b"#", b"# caf\xc3\xa9", b"# \xff", b"\t", b" "]),
+)
+raw_files = st.tuples(
+    st.lists(raw_lines, max_size=12),
+    st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"]),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else b""))
+
+clean_rows = st.lists(st.tuples(st.integers(0, 10**18 - 1), st.integers(0, 10**6)), max_size=30)
+
+
+def outcome(parse):
+    try:
+        table = parse()
+    except ParseError as err:
+        return ("error", err.line, err.path, err.reason)
+    assert table.dtype.name == "int64" and table.ndim == 2 and table.shape[1] == 2
+    return ("ok", table.tolist())
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=raw_files)
+def test_array_parser_agrees_with_line_scan(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("parse") / "edits.tsv"
+    path.write_bytes(data)
+    scanned = outcome(lambda: _scan_int_columns(path, WHAT))
+    fast = _int_columns(data, 2)
+    if fast is not None:
+        assert scanned == ("ok", fast.tolist())
+    assert outcome(lambda: load_edit_log(path)) == scanned
+    assert outcome(lambda: load_edges(path)) == outcome(lambda: _scan_int_columns(path, ("source id", "target id")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=clean_rows,
+    comments=st.lists(st.integers(0, 30), max_size=4),
+    blanks=st.lists(st.integers(0, 30), max_size=4),
+    final_newline=st.booleans(),
+)
+def test_array_parser_takes_well_formed_files(rows, comments, blanks, final_newline, tmp_path_factory):
+    lines = [f"{a}\t{b}".encode() for a, b in rows]
+    for at in sorted(comments, reverse=True):
+        lines.insert(min(at, len(lines)), b"# note\t1")
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), b"")
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    fast = _int_columns(data, 2)
+    assert fast is not None
+    assert fast.tolist() == [list(r) for r in rows]
+    path = tmp_path_factory.mktemp("parse") / "edits.tsv"
+    path.write_bytes(data)
+    assert _scan_int_columns(path, WHAT).tolist() == fast.tolist()
+
+
+def test_large_log_matches_dict_reference_to_the_last_bit():
+    # numpy's log2 and summation differ from math.log2 and math.fsum in a few
+    # results per ten thousand; tens of thousands of distinct shares expose that
+    import numpy as np
+
+    from wgm.edits import EditLog
+
+    rng = np.random.default_rng(5)
+    author = np.repeat(np.arange(12_000), 5)
+    category = np.tile(np.arange(5), 12_000)
+    count = rng.integers(1, 100_000, author.size)
+    keep = rng.random(author.size) < 0.8
+    log = EditLog(author[keep], category[keep], count[keep], frozenset(range(5)))
+    ref = dict(zip(zip(author[keep].tolist(), category[keep].tolist()), count[keep].tolist()))
+    assert render(entropy_report(log)) == render(ref_entropy_report(ref))
+    assert render(category_report(log, 0.2)) == render(ref_category_report(ref, 0.2, False))
+    max_shares = [max(cats.values()) / sum(cats.values()) for _, cats in ref_profiles(ref)]
+    assert render(max_share_histogram(log, 0.001)) == render(ref_bins(max_shares, 0.001))

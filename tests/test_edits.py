@@ -177,8 +177,7 @@ class TestActiveCategoryHistogram:
         assert active_category_histogram(log) == expected
 
     def test_empty_log(self):
-        log = make_log([(1, 10)], article_cats={10: frozenset([5])}, categories={5})
-        empty = type(log)(resolved={}, categories=log.categories)
+        empty = make_log([], article_cats={10: frozenset([5])}, categories={5})
         with pytest.raises(EmptyLog):
             active_category_histogram(empty)
 

@@ -42,6 +42,30 @@ GOLDEN = {
         ["entropy", "--format", "csv", "--histogram", "active", *EDITS],
         "eb807d97faf9b88d906bc4bb96a5c27ef943d3ebeef9727eb3fb1f82c81b5cfe",
     ),
+    "categories-anonymous": (
+        ["categories", "--include-anonymous", *EDITS],
+        "abc0d6977f62c88f3ebf00c1b44faf36b8c9024799a3603bb98799259fcbd104",
+    ),
+    "categories-anonymous-csv": (
+        ["categories", "--include-anonymous", "--format", "csv", *EDITS],
+        "409a1b95c9429d156512f79f5f9bed92c663b619525c87099100d09d98b1e341",
+    ),
+    "categories-top-half": (
+        ["categories", "--top-fraction", "0.5", *EDITS],
+        "603c8926cbc10be0a0a6d6cee5508721592a32d9925e0e9d13cf103a0cc1c7a7",
+    ),
+    "entropy-max-share-csv": (
+        ["entropy", "--format", "csv", "--histogram", "max-share", *EDITS],
+        "c795bc37d061f58ce9a533f5bf95a3e5539cf61b245ca7183255a497f240166b",
+    ),
+    "entropy-bin-width": (
+        ["entropy", "--bin-width", "0.1", *EDITS],
+        "fbec78e98c07dec92a3f876635a180e31e7e832b34bce1483372eab6e2c9ad91",
+    ),
+    "report-anonymous": (
+        ["report", "--include-anonymous", *GRAPH, *EDITS],
+        "7da33171ac1fe4988a4ba08217c07055f5105a6072428f132167ba7e5bdeea29",
+    ),
 }
 
 

@@ -1,8 +1,8 @@
+import numpy as np
 import pytest
 
 from wgm.errors import (
     DuplicateNodeId,
-    EndpointOutOfRange,
     ParseError,
     UnknownNodeInEdge,
     UnnamedCategory,
@@ -67,32 +67,27 @@ class TestLoadNodes:
 class TestLoadEdges:
     def test_two_edges(self, tmp_path):
         path = _write(tmp_path, "edges.tsv", "0\t1\n1\t0\n")
-        assert load_edges(path, 2) == [(0, 1), (1, 0)]
-
-    def test_endpoint_out_of_range_carries_line(self, tmp_path):
-        path = _write(tmp_path, "edges.tsv", "0\t1\n5\t0\n")
-        with pytest.raises(EndpointOutOfRange) as err:
-            load_edges(path, 2)
-        assert err.value.line == 2
+        edges = load_edges(path)
+        assert (edges.dtype, edges.shape) == (np.int64, (2, 2))
+        assert edges.tolist() == [[0, 1], [1, 0]]
 
     def test_big_fixture_matches_line_count(self, tmp_path):
-        import numpy as np
-
         rng = np.random.default_rng(0)
         pairs = rng.integers(0, 500, size=(100_000, 2))
         text = "".join(f"{a}\t{b}\n" for a, b in pairs)
         path = _write(tmp_path, "big.tsv", text)
-        edges = load_edges(path, 500)
+        edges = load_edges(path)
         assert len(edges) == text.count("\n")
+        assert np.array_equal(edges, pairs)
 
 
 class TestLoadEditLog:
     def test_repeat_edits_kept(self, tmp_path):
         path = _write(tmp_path, "edits.tsv", "7\t12\n7\t12\n")
-        assert load_edit_log(path) == [EditRecord(7, 12), EditRecord(7, 12)]
+        assert load_edit_log(path).tolist() == [[7, 12], [7, 12]]
 
     def test_empty(self, tmp_path):
-        assert load_edit_log(_write(tmp_path, "edits.tsv", "")) == []
+        assert load_edit_log(_write(tmp_path, "edits.tsv", "")).shape == (0, 2)
 
     def test_500_lines(self, tmp_path):
         text = "".join(f"{i % 13}\t{i % 37}\n" for i in range(500))
@@ -115,6 +110,12 @@ class TestLoadCategoryMap:
         )
         assert cm.article_to_categories[5] == frozenset([2, 3])
 
+    def test_unnamed_category_at_its_physical_line(self, tmp_path):
+        path = _write(tmp_path, "map.tsv", "# map\n5\t2\n\n6\t3\n")
+        with pytest.raises(UnnamedCategory) as err:
+            load_category_map(path, _write(tmp_path, "names.tsv", "2\tsci\n"))
+        assert (err.value.line, err.value.path) == (4, str(path))
+
     def test_unnamed_category(self, tmp_path):
         with pytest.raises(UnnamedCategory) as err:
             load_category_map(
@@ -129,14 +130,14 @@ class TestFilterMainNamespace:
         nodes = [NodeRecord(0, "A", 0), NodeRecord(1, "Talk:A", 1)]
         kept, edges, remap = filter_main_namespace(nodes, [(0, 1)])
         assert kept == [NodeRecord(0, "A", 0)]
-        assert edges == []
+        assert edges.shape == (0, 2)
         assert remap == {0: 0}
 
     def test_identity_when_all_main(self):
         nodes = [NodeRecord(i, f"t{i}", 0) for i in range(4)]
         kept, edges, remap = filter_main_namespace(nodes, [(0, 1), (2, 3)])
         assert kept == nodes
-        assert edges == [(0, 1), (2, 3)]
+        assert edges.tolist() == [[0, 1], [2, 3]]
         assert remap == {i: i for i in range(4)}
 
     def test_matches_two_pass_reference(self):
@@ -154,12 +155,12 @@ class TestFilterMainNamespace:
         keep_ids = [r.id for r in nodes if r.namespace == 0]
         ref_map = {old: new for new, old in enumerate(keep_ids)}
         ref_edges = [
-            (ref_map[s], ref_map[t]) for s, t in edges if s in ref_map and t in ref_map
+            [ref_map[s], ref_map[t]] for s, t in edges if s in ref_map and t in ref_map
         ]
 
         kept, new_edges, remap = filter_main_namespace(nodes, edges)
         assert remap == ref_map
-        assert new_edges == ref_edges
+        assert new_edges.tolist() == ref_edges
         assert [r.id for r in kept] == sorted(ref_map.values())
 
     def test_idempotent(self):
@@ -168,13 +169,124 @@ class TestFilterMainNamespace:
         kept1, edges1, _ = filter_main_namespace(nodes, edges)
         kept2, edges2, remap2 = filter_main_namespace(kept1, edges1)
         assert kept2 == kept1
-        assert edges2 == edges1
+        assert np.array_equal(edges2, edges1)
         assert remap2 == {i: i for i in range(len(kept1))}
 
     def test_unknown_node_in_edge(self):
         with pytest.raises(UnknownNodeInEdge) as err:
             filter_main_namespace([NodeRecord(0, "a", 0)], [(0, 0), (0, 99)])
         assert err.value.line == 2
+
+    def test_unknown_node_given_the_path_names_file_and_physical_line(self, tmp_path):
+        path = _write(tmp_path, "edges.tsv", "# edges\n0\t1\n\n1\t3\n")
+        nodes = [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(5, "c", 1)]
+        with pytest.raises(UnknownNodeInEdge) as err:
+            filter_main_namespace(nodes, load_edges(path), path=path)
+        assert (err.value.line, err.value.path) == (4, str(path))
+        assert "unknown node id 3" in str(err.value)
+
+    def test_ids_far_apart_need_no_id_sized_table(self):
+        big = 2**62
+        nodes = [NodeRecord(big, "a", 0), NodeRecord(7, "b", 0), NodeRecord(big + 9, "c", 4)]
+        kept, edges, remap = filter_main_namespace(nodes, np.array([[big, 7], [7, big + 9], [7, big]]))
+        assert remap == {big: 0, 7: 1}
+        assert edges.tolist() == [[0, 1], [1, 0]]
+
+
+class TestUnknownEdgeEndpoint:
+    """An edge id missing from the node table exits 3 with `edges.tsv:line`,
+    above or below the table's largest id alike."""
+
+    def _run(self, tmp_path, capsys, edges_text):
+        from wgm.cli import main
+
+        nodes = _write(tmp_path, "nodes.tsv", "0\tA\t0\n1\tB\t0\n5\tC\t0\n")
+        edges = _write(tmp_path, "edges.tsv", edges_text)
+        code = main(["degrees", "--nodes", str(nodes), "--edges", str(edges)])
+        return code, capsys.readouterr().err, edges
+
+    def test_id_above_the_largest(self, tmp_path, capsys):
+        code, err, edges = self._run(tmp_path, capsys, "0\t9\n")
+        assert code == 3
+        assert err.startswith(f"error: {edges}:1: ") and "unknown node id 9" in err
+        assert err.count("\n") == 1
+
+    def test_id_below_the_largest_after_comment_and_blank(self, tmp_path, capsys):
+        code, err, edges = self._run(tmp_path, capsys, "# links\n\n0\t3\n")
+        assert code == 3
+        assert err.startswith(f"error: {edges}:3: ") and "unknown node id 3" in err
+        assert err.count("\n") == 1
+
+    def test_load_edges_takes_any_ids(self, tmp_path):
+        path = _write(tmp_path, "edges.tsv", "0\t9\n123456789\t0\n")
+        assert load_edges(path).tolist() == [[0, 9], [123456789, 0]]
+
+
+INT64_MAX = 2**63 - 1
+
+
+class TestInt64Range:
+    """Ids and namespaces lie in [-2**63, 2**63); beyond is a parse error at
+    path:line, whichever parser reads the file."""
+
+    @pytest.mark.parametrize("loader", [load_edges, load_edit_log])
+    def test_largest_id_accepted(self, tmp_path, loader):
+        path = _write(tmp_path, "f.tsv", f"{INT64_MAX}\t1\n0\t000000000000000000000000007\n")
+        assert loader(path).tolist() == [[INT64_MAX, 1], [0, 7]]
+
+    @pytest.mark.parametrize("value", [str(2**63), "9" * 31, "1" * 5000])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_edit_log_id_beyond_int64(self, tmp_path, value, column):
+        fields = ["1", "2"]
+        fields[column] = value
+        path = _write(tmp_path, "edits.tsv", "# log\n1\t2\n" + "\t".join(fields) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_edit_log(path)
+        assert (err.value.line, err.value.path) == (3, str(path))
+        assert "int64" in err.value.reason
+
+    @pytest.mark.parametrize(
+        ("line", "ok"),
+        [
+            (f"{INT64_MAX}\tA\t0", True),
+            (f"{2**63}\tA\t0", False),
+            ("1" * 31 + "\tA\t0", False),
+            (f"1\tA\t{-(2**63)}", True),
+            (f"1\tA\t{-(2**63) - 1}", False),
+            (f"1\tA\t{2**63}", False),
+        ],
+    )
+    def test_node_id_and_namespace(self, tmp_path, line, ok):
+        path = _write(tmp_path, "nodes.tsv", "0\tZ\t0\n" + line + "\n")
+        if ok:
+            assert len(load_nodes(path)) == 2
+            return
+        with pytest.raises(ParseError) as err:
+            load_nodes(path)
+        assert (err.value.line, err.value.path) == (2, str(path))
+
+    def test_category_files(self, tmp_path):
+        names = _write(tmp_path, "catnames.tsv", f"{2**63}\tbig\n")
+        with pytest.raises(ParseError) as err:
+            load_category_map(_write(tmp_path, "catmap.tsv", ""), names)
+        assert err.value.line == 1
+        names = _write(tmp_path, "catnames.tsv", "1\tsmall\n")
+        catmap = _write(tmp_path, "catmap.tsv", f"1\t1\n{'9' * 31}\t1\n")
+        with pytest.raises(ParseError) as err:
+            load_category_map(catmap, names)
+        assert (err.value.line, err.value.path) == (2, str(catmap))
+
+    def test_cli_31_digit_author_exits_3(self, tmp_path, capsys):
+        from wgm.cli import main
+
+        edits = _write(tmp_path, "edits.tsv", "1\t10\n" + "9" * 31 + "\t10\n")
+        catmap = _write(tmp_path, "catmap.tsv", "10\t5\n")
+        names = _write(tmp_path, "catnames.tsv", "5\tsci\n")
+        code = main(["categories", "--edits", str(edits), "--catmap", str(catmap), "--catnames", str(names)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {edits}:2: ")
+        assert err.count("\n") == 1
 
 
 class TestRoundTrips:
@@ -188,13 +300,13 @@ class TestRoundTrips:
         edges = [(0, 1), (1, 2), (2, 0)]
         path = tmp_path / "e.tsv"
         write_edges(edges, path)
-        assert load_edges(path, 3) == edges
+        assert load_edges(path).tolist() == [list(e) for e in edges]
 
     def test_edit_log(self, tmp_path):
         log = [EditRecord(1, 5), EditRecord(1, 5), EditRecord(0, 2)]
         path = tmp_path / "l.tsv"
         write_edit_log(log, path)
-        assert load_edit_log(path) == log
+        assert load_edit_log(path).tolist() == [list(r) for r in log]
 
     def test_category_map(self, tmp_path):
         cm = CategoryMap(
