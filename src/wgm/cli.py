@@ -43,6 +43,8 @@ from .ingest import (
 MAX_PAIRS = 10_000_000
 MAX_SAMPLES = 10_000_000
 MIN_BIN_WIDTH = ed.HISTOGRAM_VALUE_BOUND / ed.MAX_HISTOGRAM_BINS
+# `synth` sizes: nodes, authors, categories, edits and the expected edge count
+MAX_SYNTH = 10_000_000
 
 # CSV columns of the commands whose export is a table
 DEGREE_COLUMNS = ("degree", "count")
@@ -86,9 +88,30 @@ class RunConfig:
     zipf_s: float = 1.0
     home_bias: float = 0.8
 
+    def _expected_edges(self) -> float:
+        """The edge count `synth` would generate for a valid graph spec; 0
+        for an invalid one, which the generator rejects, and for more than
+        MAX_SYNTH nodes, which the node cap rejects."""
+        if not 0 <= self.n <= MAX_SYNTH:
+            return 0
+        if self.synth_kind == "preferential" and 1 <= self.m < self.n:
+            return self.n * self.m
+        if self.synth_kind == "uniform" and 0.0 <= self.p <= 1.0:
+            return self.p * self.n * (self.n - 1)
+        return 0
+
     def validate(self) -> None:
         """Check every numeric parameter before any file is touched."""
+        sizes = {
+            "--n": self.n,
+            "--authors": self.n_authors,
+            "--categories": self.n_categories,
+            "--edits-total": self.total_edits,
+            "the edge count to generate": self._expected_edges(),
+        }
         checks = [
+            (self.seed >= 0, f"--seed must be >= 0, got {self.seed}"),
+            *((size <= MAX_SYNTH, f"{name} must be <= {MAX_SYNTH}, got {size}") for name, size in sizes.items()),
             (0.0 < self.percentile < 1.0, f"--percentile must be in (0, 1), got {self.percentile}"),
             (1 <= self.n_samples <= MAX_SAMPLES, f"--samples must be in [1, {MAX_SAMPLES}], got {self.n_samples}"),
             (1 <= self.n_pairs <= MAX_PAIRS, f"--pairs must be in [1, {MAX_PAIRS}], got {self.n_pairs}"),
@@ -363,8 +386,15 @@ def _add_io_flags(sub, graph=False, edit=False):
     sub.add_argument("--seed", type=int, default=42)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one-line usage errors (exit 2)."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgm", description="Structural and contribution metrics for wiki link graphs."
     )
     subs = parser.add_subparsers(dest="command", required=True)
@@ -445,15 +475,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         cfg.validate()
         _COMMANDS[cfg.command](cfg)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except WgmError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

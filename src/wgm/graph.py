@@ -29,16 +29,25 @@ class DegreeSummary:
         return self.indegree + self.outdegree
 
 
-def _csr(sources: np.ndarray, targets: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Build (indptr, indices) with rows keyed by `sources`.
-
-    Requires (sources, targets) already sorted lexicographically so each
-    row's index slice comes out sorted.
-    """
-    counts = np.bincount(sources, minlength=n)
+def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Build (indptr, indices) from sorted, distinct edge keys row*n + col."""
+    rows, cols = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, targets.astype(np.int64, copy=True)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in `a`."""
+    change = np.ones(a.size, dtype=bool)
+    change[1:] = a[1:] != a[:-1]
+    return np.flatnonzero(change)
+
+
+def _keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The sorted keys row*n + col of a CSR's entries."""
+    n = indptr.size - 1
+    return np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
 
 
 class ArticleGraph:
@@ -99,13 +108,11 @@ class ArticleGraph:
 
     @cached_property
     def _undirected(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of the undirected projection (u~v iff u->v or v->u)."""
-        e = self.edges()
-        both = np.concatenate([e, e[:, ::-1]], axis=0)
-        if both.size == 0:
-            return np.zeros(self.node_count + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        both = np.unique(both, axis=0)
-        return _csr(both[:, 0], both[:, 1], self.node_count)
+        """CSR of the undirected projection (u~v iff u->v or v->u): the
+        union of the out-keys u*n + v and the in-keys v*n + u, two sorted
+        runs that one stable sort merges."""
+        both = np.sort(np.concatenate([_keys(*self.directed_csr()), _keys(*self.in_csr())]), kind="stable")
+        return _csr(both[_run_starts(both)], self.node_count)
 
     def undirected_neighbors(self, node: int) -> np.ndarray:
         node = self._check(node)
@@ -154,12 +161,13 @@ def build_graph(
     loops = arr[:, 0] == arr[:, 1]
     n_loops = int(loops.sum())
     arr = arr[~loops]
-    unique = np.unique(arr, axis=0) if arr.shape[0] else arr
-    n_dups = arr.shape[0] - unique.shape[0]
-
-    out_indptr, out_indices = _csr(unique[:, 0], unique[:, 1], node_count)
-    order = np.lexsort((unique[:, 0], unique[:, 1]))
-    in_indptr, in_indices = _csr(unique[order, 1], unique[order, 0], node_count)
+    # node_count**2 fits int64 for any graph whose indptr fits in memory.
+    # A plain np.unique would import numpy.ma on first use (about 20 ms).
+    keys = np.sort(arr[:, 0] * node_count + arr[:, 1])
+    out_keys = keys[_run_starts(keys)]
+    n_dups = arr.shape[0] - out_keys.size
+    out_indptr, out_indices = _csr(out_keys, node_count)
+    in_indptr, in_indices = _csr(np.sort(out_indices * node_count + out_keys // node_count), node_count)
     return ArticleGraph(
         node_count,
         out_indptr,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyGraph, SingleNode
-from .graph import ArticleGraph
+from .graph import ArticleGraph, _run_starts
 
 __all__ = [
     "ClusteringTrace",
@@ -45,10 +45,12 @@ class PathSampleResult:
     seed: int
 
 
-# Beamer's direction switch: a BFS level pulls over the reverse CSR once
-# the frontier's out-edges exceed 1/alpha of all edges, and pushes otherwise
+# Beamer's direction switch: a word of a BFS level pulls over the reverse CSR
+# once its frontier's out-edges exceed 1/alpha of all edges, and pushes otherwise
 _PULL_ALPHA = 14
 _LANES = 64  # BFS sources per uint64 word
+_WORDS = 8  # words of sources in flight per BFS batch
+_DENSE_BUDGET = 1 << 20  # bound on words * nodes, the size of each dense BFS buffer
 _WEDGE_BLOCK = 1 << 12  # wedges per block of the triangle kernel
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -146,40 +148,80 @@ def sampled_clustering(
     return ClusteringTrace(estimates=estimates, final_estimate=float(running[-1]), seed=seed)
 
 
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in `a`."""
-    return np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+def _push(keys, bits, unseen, push, n):
+    """Push the frontier entries (key, bits), key = word*n + node, along the
+    out-edges: the new entries, keys ascending, with their bits cleared
+    from `unseen`."""
+    nodes = keys % n
+    pos, counts = _expand(push[0], nodes)
+    reached = np.repeat(keys - nodes, counts)
+    reached += push[1][pos]
+    new = np.repeat(bits, counts)
+    new &= unseen[reached]
+    live = np.flatnonzero(new)
+    reached, new = reached[live], new[live]
+    order = np.argsort(reached)
+    reached = reached[order]
+    heads = _run_starts(reached)
+    keys, bits = reached[heads], np.bitwise_or.reduceat(new[order], heads)
+    unseen[keys] ^= bits
+    return keys, bits
 
 
-def _advance(frontier, unseen, nxt, push, pull, outdeg) -> None:
-    """One BFS level for every lane: the bits that first reach each node
-    from `frontier` go to `nxt` and are cleared from `unseen`."""
-    active = np.flatnonzero(frontier)
+def _pull(row, out, unseen, pull) -> None:
+    """Pull one word's dense frontier `row` over the reverse CSR: `out`
+    (zeroed) gets the bits that first reach each node, cleared from
+    `unseen`."""
+    rows, starts, sources = pull
+    out[rows] = np.bitwise_or.reduceat(row[sources], starts)
+    out &= unseen
+    unseen ^= out
+
+
+def _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg, word_ends):
+    """One BFS level of every word of a batch.
+
+    The frontier is its ascending non-zero keys, with their `bits`, or with
+    `bits` None when it is dense in `frontier`. A word pulls once
+    _PULL_ALPHA times its entries' out-edges exceed the edge count
+    (Beamer's test) and pushes otherwise. If no word pulls, the new
+    frontier stays sparse; otherwise it is dense in the returned buffer.
+    Returns (keys, bits, frontier, nxt) for the next level.
+    """
+    n, words = int(word_ends[1]), word_ends.size - 1
+    degrees = outdeg[keys]
+    pulls = []
+    if _PULL_ALPHA * int(degrees.sum()) > push[1].size:
+        ends = np.searchsorted(keys, word_ends)
+        pulls = [j for j in range(words) if _PULL_ALPHA * int(degrees[ends[j] : ends[j + 1]].sum()) > push[1].size]
+    if bits is None and len(pulls) < words:
+        bits = frontier[keys]
+    if not pulls:
+        return (*_push(keys, bits, unseen, push, n), frontier, nxt)
+    if bits is not None:
+        frontier.fill(0)
+        frontier[keys] = bits
     nxt.fill(0)
-    if _PULL_ALPHA * int(outdeg[active].sum()) > push[1].size:
-        rows, starts, sources = pull
-        nxt[rows] = np.bitwise_or.reduceat(frontier[sources], starts)
-    else:
-        pos, counts = _expand(push[0], active)
-        if pos.size:
-            nbrs = push[1][pos]
-            order = np.argsort(nbrs, kind="stable")
-            nbrs = nbrs[order]
-            heads = _run_starts(nbrs)
-            nxt[nbrs[heads]] = np.bitwise_or.reduceat(np.repeat(frontier[active], counts)[order], heads)
-    nxt &= unseen
-    unseen ^= nxt
+    pushed = np.ones(keys.size, dtype=bool)
+    for j in pulls:
+        pushed[ends[j] : ends[j + 1]] = False
+        lo, hi = j * n, (j + 1) * n
+        _pull(frontier[lo:hi], nxt[lo:hi], unseen[lo:hi], pull)
+    if len(pulls) < words:
+        pushed_keys, pushed_bits = _push(keys[pushed], bits[pushed], unseen, push, n)
+        nxt[pushed_keys] = pushed_bits
+    return np.flatnonzero(nxt), None, nxt, frontier
 
 
 def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
     """(sum of hop distances, count) over the reachable ordered pairs.
 
     `pairs` holds sorted keys s*n + t; None stands for every ordered pair.
-    Bitset multi-source BFS: up to 64 distinct sources run at once, one bit
-    each in a uint64 word per node. Each level pushes the frontier along
-    `push`, or pulls it over the reverse CSR `pull` once the frontier's
-    out-edges exceed 1/_PULL_ALPHA of all edges. A batch stops once all
-    its targets are settled.
+    Bitset multi-source BFS: up to _WORDS * 64 distinct sources run at
+    once; source i owns bit i % 64 of word i // 64, and node v of word j
+    has the key j*n + v in the dense `unseen` array. Each level pushes or
+    pulls each word (see `_advance`). A batch stops once all its targets
+    are settled, and a word leaves the frontier once its own are.
     """
     n = push[0].size - 1
     if pairs is None:
@@ -188,32 +230,48 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
         heads = _run_starts(pairs // n)
         sources = pairs[heads] // n
         bounds = np.append(heads, pairs.size)
-    outdeg = np.diff(push[0])
     rows = np.flatnonzero(np.diff(pull[0]))
     pull = (rows, pull[0][rows], pull[1])
-    frontier, unseen, nxt = (np.empty(n, dtype=np.uint64) for _ in range(3))
+    group = _LANES * max(1, min(_WORDS, _DENSE_BUDGET // n))
+    size = -(-min(group, sources.size) // _LANES) * n
+    buffers = [np.empty(size, dtype=np.uint64) for _ in range(3)]
+    outdeg = np.tile(np.diff(push[0]), size // n)  # out-degree at every key
 
     total = reachable = 0
-    for b in range(0, sources.size, _LANES):
-        lanes = sources[b : b + _LANES]
-        frontier.fill(0)
-        frontier[lanes] = np.left_shift(np.uint64(1), np.arange(lanes.size, dtype=np.uint64))
-        np.invert(frontier, out=unseen)
+    for b in range(0, sources.size, group):
+        lanes = sources[b : b + group]
+        lane = np.arange(lanes.size)
+        words = -(-lanes.size // _LANES)
+        word_ends = np.arange(words + 1) * n
+        unseen, frontier, nxt = (buf[: words * n] for buf in buffers)
+        keys = (lane // _LANES) * n + lanes
+        bits = np.left_shift(np.uint64(1), (lane % _LANES).astype(np.uint64))
+        unseen.fill(~np.uint64(0))
+        unseen[keys] ^= bits
         if pairs is not None:
-            batch = pairs[bounds[b] : bounds[min(b + _LANES, sources.size)]]
-            targets = batch % n
-            target_bits = np.left_shift(np.uint64(1), np.searchsorted(lanes, batch // n).astype(np.uint64))
+            batch = pairs[bounds[b] : bounds[b + lanes.size]]
+            lane = np.searchsorted(lanes, batch // n)
+            targets = (lane // _LANES) * n + batch % n
+            target_bits = np.left_shift(np.uint64(1), (lane % _LANES).astype(np.uint64))
         depth = 0
-        while frontier.any() and (pairs is None or targets.size):
+        while keys.size and (pairs is None or targets.size):
             depth += 1
-            _advance(frontier, unseen, nxt, push, pull, outdeg)
-            frontier, nxt = nxt, frontier
+            keys, bits, frontier, nxt = _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg, word_ends)
             if pairs is None:
-                hits = int(_POPCOUNT8[frontier.view(np.uint8)].sum(dtype=np.int64))
+                hits = int(_POPCOUNT8[(frontier[keys] if bits is None else bits).view(np.uint8)].sum(dtype=np.int64))
             else:
-                settled = (frontier[targets] & target_bits) != 0
+                settled = (unseen[targets] & target_bits) == 0
                 hits = int(np.count_nonzero(settled))
-                targets, target_bits = targets[~settled], target_bits[~settled]
+                if hits:
+                    targets, target_bits = targets[~settled], target_bits[~settled]
+                    # a word whose targets are all settled leaves the frontier
+                    alive = np.zeros(words, dtype=bool)
+                    alive[targets // n] = True
+                    counts = np.diff(np.searchsorted(keys, word_ends))
+                    if counts[~alive].any():
+                        keep = np.repeat(alive, counts)
+                        keys = keys[keep]
+                        bits = None if bits is None else bits[keep]
             total += depth * hits
             reachable += hits
     return total, reachable

@@ -113,7 +113,7 @@ def generate_zipf_edits(
     """
     if n_authors < 1 or n_categories < 1 or total_edits < 1:
         raise InvalidSpec("n_authors, n_categories and total_edits must all be >= 1")
-    if s <= 0:
+    if not s > 0:
         raise InvalidSpec(f"need s > 0, got {s}")
     if not 0.0 <= home_bias <= 1.0:
         raise InvalidSpec(f"need 0 <= home_bias <= 1, got {home_bias}")

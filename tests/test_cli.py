@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MIN_BIN_WIDTH, RunConfig, main, render
+from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MAX_SYNTH, MIN_BIN_WIDTH, RunConfig, main, render
 from wgm.degrees import DegreeHistogram
 from wgm.edits import HISTOGRAM_VALUE_BOUND, MAX_HISTOGRAM_BINS
 from wgm.errors import UsageError
@@ -554,8 +554,73 @@ class TestSizeCaps:
             with pytest.raises(UsageError):
                 cfg.validate()
 
+    @pytest.mark.parametrize("field", ["n", "n_authors", "n_categories", "total_edits"])
+    def test_synth_caps_are_inclusive(self, field):
+        for value in (MAX_SYNTH - 1, MAX_SYNTH):
+            RunConfig(command="synth", synth_kind="zipf-edits", **{field: value}).validate()
+        with pytest.raises(UsageError, match="must be <= 10000000"):
+            RunConfig(command="synth", synth_kind="zipf-edits", **{field: MAX_SYNTH + 1}).validate()
+
+    @pytest.mark.parametrize(
+        "kind, spec, over",
+        [("preferential", {"n": MAX_SYNTH // 4, "m": 4}, {"m": 5}), ("uniform", {"n": 4473, "p": 0.49}, {"p": 0.5})],
+    )
+    def test_edge_count_cap(self, kind, spec, over):
+        RunConfig(command="synth", synth_kind=kind, **spec).validate()
+        with pytest.raises(UsageError, match="edge count"):
+            RunConfig(command="synth", synth_kind=kind, **{**spec, **over}).validate()
+
     def test_min_bin_width_bounds_the_bin_count(self):
         assert HISTOGRAM_VALUE_BOUND / MIN_BIN_WIDTH <= MAX_HISTOGRAM_BINS
+
+
+class TestSeedAndSynthLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("paths", "--seed", "-1", "--nodes", "n", "--edges", "e"),
+            ("cluster", "--seed", "-5", "--nodes", "n", "--edges", "e"),
+            ("report", "--seed", "-1", "--nodes", "n", "--edges", "e"),
+            ("synth", "--kind", "zipf-edits", "--seed", "-3"),
+        ],
+        ids=["paths", "cluster", "report", "synth"],
+    )
+    def test_negative_seed_is_2_before_io(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a in ("n", "e") else a for a in argv]
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err == "error: --seed must be >= 0, got " + argv[argv.index("--seed") + 1] + "\n"
+        assert not out.exists()
+
+    def test_nan_zipf_exponent_is_5(self, tmp_path, capsys):
+        code, _, err = run(capsys, "synth", "--kind", "zipf-edits", "--zipf-s", "nan", "--out", str(tmp_path))
+        assert code == 5
+        assert err == "error: need s > 0, got nan\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--kind", "preferential", "--n", "100000000000"),
+            ("--kind", "preferential", "--n", str(MAX_SYNTH // 3 + 1), "--m", "3"),
+            ("--kind", "uniform", "--n", "100000", "--p", "0.01"),
+            ("--kind", "zipf-edits", "--authors", str(MAX_SYNTH + 1)),
+            ("--kind", "zipf-edits", "--categories", str(MAX_SYNTH + 1)),
+            ("--kind", "zipf-edits", "--edits-total", str(MAX_SYNTH + 1)),
+        ],
+    )
+    def test_synth_size_over_cap_is_2_before_io(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "synth", *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_usage_errors_from_the_parser_are_one_line(self, capsys):
+        for argv in (("paths", "--seed", "x"), ("degrees", "--which", "up"), ("bogus",), ()):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEncoding:

@@ -62,6 +62,15 @@ GOLDEN = {
         ["entropy", "--bin-width", "0.1", *EDITS],
         "fbec78e98c07dec92a3f876635a180e31e7e832b34bce1483372eab6e2c9ad91",
     ),
+    "paths-one-pair": (["paths", "--pairs", "1", *GRAPH], "3358c0fcaefaa3c5f72f4945a0c9c327ae21bdd657d24bc5fe7e1877b02acce2"),
+    "paths-many-pairs": (
+        ["paths", "--pairs", "200000", *GRAPH],
+        "7fa3cf1d1d03bd313643dd7923aaa50a354357bf776a827fe0e057d9f2871133",
+    ),
+    "paths-undirected-many-pairs": (
+        ["paths", "--undirected", "--pairs", "200000", "--seed", "3", *GRAPH],
+        "d2d3bdc3b60b37154d73ff01813621f5f623624acb98b462777d2fd11e672f74",
+    ),
     "report-anonymous": (
         ["report", "--include-anonymous", *GRAPH, *EDITS],
         "7da33171ac1fe4988a4ba08217c07055f5105a6072428f132167ba7e5bdeea29",

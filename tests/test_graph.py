@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wgm.errors import EmptyGraph, EndpointOutOfRange, NodeOutOfRange
 from wgm.graph import build_graph, degree_of, mean_degree
@@ -114,3 +116,56 @@ def test_titles_must_match_node_count():
 def test_adjacency_arrays_immutable(cycle3):
     with pytest.raises(ValueError):
         cycle3.out_neighbors(0)[0] = 99
+
+
+def reference_csr(edges, n):
+    """The CSR arrays and dropped counts as built by lexicographic row
+    dedup: out-CSR, in-CSR (rows sorted by target, then source), the
+    undirected projection, self-loops and duplicates dropped."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = arr[:, 0] == arr[:, 1]
+    arr = arr[~loops]
+    unique = np.unique(arr, axis=0)
+
+    def csr(rows, cols):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return indptr, cols.astype(np.int64)
+
+    reverse = unique[np.lexsort((unique[:, 0], unique[:, 1]))]
+    both = np.unique(np.concatenate([unique, unique[:, ::-1]]), axis=0)
+    return (
+        csr(unique[:, 0], unique[:, 1]),
+        csr(reverse[:, 1], reverse[:, 0]),
+        csr(both[:, 0], both[:, 1]),
+        int(loops.sum()),
+        arr.shape[0] - unique.shape[0],
+    )
+
+
+@st.composite
+def edge_lists(draw):
+    """A node count (0 and 1 included) and an edge list over a prefix of the
+    nodes, so the last rows may be empty; loops and duplicates are common."""
+    n = draw(st.integers(0, 12))
+    used = draw(st.integers(0, n))
+    pair = st.tuples(st.integers(0, max(used - 1, 0)), st.integers(0, max(used - 1, 0)))
+    edges = draw(st.lists(pair, max_size=40)) if used else []
+    return n, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=edge_lists())
+@example(spec=(0, []))
+@example(spec=(1, []))
+@example(spec=(1, [(0, 0), (0, 0)]))
+@example(spec=(5, [(2, 2), (0, 0)]))
+@example(spec=(6, [(0, 1), (0, 1), (1, 0), (2, 1), (2, 1)]))
+def test_key_csr_matches_row_dedup_reference(spec):
+    n, edges = spec
+    g = build_graph(edges, n)
+    out_csr, in_csr, undirected, loops, dups = reference_csr(edges, n)
+    for built, expected in ((g.directed_csr(), out_csr), (g.in_csr(), in_csr), (g.undirected_csr(), undirected)):
+        for a, b in zip(built, expected):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert (g.dropped_self_loops, g.dropped_duplicates) == (loops, dups)

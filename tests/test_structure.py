@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,15 +254,16 @@ def patchy_graph():
 REGIMES = {"switch": 14, "push": 0, "pull": 10**18}
 
 
-class TestMultiSourceBfs:
-    @pytest.fixture(params=sorted(REGIMES))
-    def regime(self, request, monkeypatch):
-        monkeypatch.setattr(structure, "_PULL_ALPHA", REGIMES[request.param])
-        return request.param
+@pytest.fixture(params=sorted(REGIMES))
+def regime(request, monkeypatch):
+    monkeypatch.setattr(structure, "_PULL_ALPHA", REGIMES[request.param])
+    return request.param
 
+
+class TestMultiSourceBfs:
     @pytest.mark.parametrize("directed", [True, False])
     def test_exhaustive_matches_oracle_over_partial_batches(self, regime, directed):
-        g = patchy_graph()  # 150 sources: batches of 64, 64 and 22
+        g = patchy_graph()  # 150 sources: one batch of three words, 64 + 64 + 22 lanes
         edges = [tuple(e) for e in g.edges().tolist()]
         res = sampled_avg_path(g, 1, seed=0, directed=directed, exhaustive=True)
         pairs = [(s, t) for s in range(150) for t in range(150) if s != t]
@@ -294,6 +297,85 @@ class TestMultiSourceBfs:
     def test_edgeless_graph(self, regime):
         res = sampled_avg_path(build_graph([], 70), 500, seed=1)
         assert res.reachable_pairs == 0 and res.unreachable_fraction == 1.0
+
+
+def bridged_graph():
+    """600 nodes: a chain 0..99 runs into a random core 100..399, whose last
+    node starts a chain 400..549; 550..569 form 2-cycles, 570..579 link
+    into the first chain, and 580..599 are isolated (empty tail rows)."""
+    edges = [(i, i + 1) for i in range(100)]
+    edges += [(u + 100, v + 100) for u, v in distinct_random_edges(300, 1800, seed=41)]
+    edges += [(i, i + 1) for i in range(399, 549)]
+    edges += [(u, u ^ 1) for u in range(550, 570)]
+    edges += [(u, u - 570) for u in range(570, 580)]
+    return build_graph(edges, 600)
+
+
+BRIDGED = bridged_graph()
+BRIDGED_EDGES = [tuple(e) for e in BRIDGED.edges().tolist()]
+
+
+@functools.lru_cache(maxsize=None)
+def bridged_all_pairs(directed):
+    """(sum of hop distances, reachable count) over every ordered pair."""
+    adj = adjacency_dicts(BRIDGED_EDGES, 600, directed)
+    dists = [bfs_dict(adj, s) for s in range(600)]
+    return sum(sum(d.values()) for d in dists), sum(len(d) - 1 for d in dists)
+
+
+class TestWordsInFlight:
+    """Up to 8 words of 64 sources per batch on a 600-node graph: the
+    exhaustive run is one full 512-source batch and a partial one of
+    64 + 24 lanes, and 5,000 sampled pairs have more than 512 distinct
+    sources. The dense budget patch shrinks the batches to 2 and 1 words."""
+
+    @pytest.fixture(params=[1 << 20, 1200, 1])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(structure, "_DENSE_BUDGET", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_exhaustive_matches_oracle(self, regime, budget, directed):
+        res = sampled_avg_path(BRIDGED, 1, seed=0, directed=directed, exhaustive=True)
+        total, reachable = bridged_all_pairs(directed)
+        assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
+        assert res.sampled_pairs == 600 * 599
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_sampled_matches_oracle(self, regime, budget, directed):
+        pairs = _drawn_pairs(600, 5000, 23)
+        assert len({s for s, _ in pairs}) > 512
+        res = sampled_avg_path(BRIDGED, 5000, seed=23, directed=directed)
+        total, reachable = _oracle_pair_sums(BRIDGED_EDGES, 600, pairs, directed)
+        assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_words_switch_direction_within_a_batch(self, directed, monkeypatch):
+        """Each exhaustive batch runs until its frontier is empty; one of them
+        pushes, then pulls, then pushes again, and some level pushes some
+        words while it pulls others."""
+        levels = []
+        for name in ("_push", "_pull"):
+
+            def spy(*args, _real=getattr(structure, name), _name=name):
+                levels[-1].add(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(structure, name, spy)
+
+        def advance(*args, _real=structure._advance):
+            levels.append(set())
+            keys, *rest = _real(*args)
+            kind = "mixed" if len(levels[-1]) == 2 else levels[-1].pop()[1:]
+            levels[-1] = kind + ("|" if keys.size == 0 else "")
+            return keys, *rest
+
+        monkeypatch.setattr(structure, "_advance", advance)
+        res = sampled_avg_path(BRIDGED, 1, seed=0, directed=directed, exhaustive=True)
+        assert res.reachable_pairs == bridged_all_pairs(directed)[1]
+        batches = ",".join(levels).split("|")
+        assert any(re.search(r"push,((pull|mixed),)+push", batch) for batch in batches)
+        assert "mixed" in ",".join(levels)
 
 
 def hub_graph():
