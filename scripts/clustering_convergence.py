@@ -20,7 +20,7 @@ from wgm.synth import generate_preferential
 def load_or_generate(args):
     if args.nodes and args.edges:
         nodes = load_nodes(args.nodes)
-        kept, edges, _ = filter_main_namespace(nodes, load_edges(args.edges), path=args.edges)
+        kept, edges = filter_main_namespace(nodes, load_edges(args.edges), path=args.edges)
         return build_graph(edges, len(kept))
     return generate_preferential(args.synth_n, args.synth_m, seed=args.seed)
 

@@ -34,6 +34,7 @@ from .ingest import (
     CategoryMap,
     EditRecord,
     NodeRecord,
+    NodeTable,
     filter_main_namespace,
     load_category_map,
     load_edges,

@@ -135,8 +135,8 @@ def _load_graph(cfg: RunConfig) -> ArticleGraph:
     _require(cfg, "nodes", "edges")
     nodes = load_nodes(cfg.nodes)
     edges = load_edges(cfg.edges)
-    kept, remapped, _ = filter_main_namespace(nodes, edges, path=cfg.edges)
-    return build_graph(remapped, len(kept), titles=[rec.title for rec in kept])
+    kept, remapped = filter_main_namespace(nodes, edges, path=cfg.edges)
+    return build_graph(remapped, len(kept), titles=kept.titles)
 
 
 def _load_edit_log(cfg: RunConfig) -> tuple[ed.EditLog, dict[int, str]]:

@@ -133,16 +133,15 @@ def resolve_edits(
         raise EmptyCategorySelection("need at least one selected category")
     selected = frozenset(categories)
     edits = np.asarray(records if isinstance(records, np.ndarray) else list(records), dtype=np.int64).reshape(-1, 2)
-    member = np.array(
-        sorted((a, c) for a, cs in catmap.article_to_categories.items() for c in cs if c in selected),
-        dtype=np.int64,
-    ).reshape(-1, 2)
     cats = np.array(sorted(selected), dtype=np.int64)
-    member_category = np.searchsorted(cats, member[:, 1])
+    # the map's rows in a selected category, still sorted by article
+    slot = np.minimum(np.searchsorted(cats, catmap.category), cats.size - 1)
+    member = cats[slot] == catmap.category
+    member_article, member_category = catmap.article[member], slot[member]
     # one row per (edit, selected category of its article), located per distinct article
     articles, article_of_edit = np.unique(edits[:, 1], return_inverse=True)
-    lo = np.searchsorted(member[:, 0], articles, side="left")
-    width = np.searchsorted(member[:, 0], articles, side="right") - lo
+    lo = np.searchsorted(member_article, articles, side="left")
+    width = np.searchsorted(member_article, articles, side="right") - lo
     lo, width = lo[article_of_edit.reshape(-1)], width[article_of_edit.reshape(-1)]
     first = np.cumsum(width) - width
     member_row = np.arange(int(width.sum())) - np.repeat(first - lo, width)

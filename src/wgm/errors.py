@@ -51,6 +51,10 @@ class DuplicateNodeId(ParseError):
     """The same node id appears twice in a node table."""
 
 
+class DuplicateCategoryId(ParseError):
+    """The same category id is named twice in a category-name table."""
+
+
 class UnnamedCategory(ParseError):
     """A category referenced by the article map has no name entry."""
 

@@ -69,7 +69,7 @@ class ArticleGraph:
         self._out_indices = out_indices
         self._in_indptr = in_indptr
         self._in_indices = in_indices
-        self.titles = list(titles) if titles is not None else None
+        self.titles = titles
         self.dropped_self_loops = dropped_self_loops
         self.dropped_duplicates = dropped_duplicates
         for a in (out_indptr, out_indices, in_indptr, in_indices):

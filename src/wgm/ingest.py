@@ -5,23 +5,27 @@ All files are UTF-8, one record per line, fields separated by single
 tabs. Lines starting with '#' and blank lines are skipped. Every parse
 failure carries its 1-based physical line number.
 
-The all-integer files (edge lists, edit logs, category maps) are read
-whole and parsed in numpy into `(n, k)` int64 arrays. Bytes that parser
-does not expect send the file through the line-by-line scan instead,
-which parses the same records or names the offending line.
+Every file is read whole and parsed in numpy: the all-integer files
+(edge lists, edit logs, category maps) into `(n, k)` int64 arrays, the
+node table into id and namespace columns with each title kept as a byte
+range of the file, decoded only when read. Bytes those parsers do not
+expect send the file through the line-by-line scan instead, which parses
+the same records or names the offending line.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    DuplicateCategoryId,
     DuplicateNodeId,
     ParseError,
     UnknownNodeInEdge,
@@ -30,6 +34,8 @@ from .errors import (
 
 __all__ = [
     "NodeRecord",
+    "NodeTable",
+    "Titles",
     "EditRecord",
     "CategoryMap",
     "load_nodes",
@@ -62,12 +68,78 @@ class EditRecord(NamedTuple):
     article_id: int
 
 
-@dataclass
-class CategoryMap:
-    """Article-to-category membership plus category names."""
+class Titles(Sequence):
+    """Node titles held as byte ranges of one UTF-8 buffer; a title is
+    decoded only when it is read. An int index reads one title, an index
+    array or boolean mask gives the view of those titles."""
 
-    article_to_categories: dict[int, frozenset[int]]
-    category_names: dict[int, str]
+    def __init__(self, data: np.ndarray, start: np.ndarray, stop: np.ndarray):
+        self._data, self._start, self._stop = data, start, stop
+
+    @classmethod
+    def from_strings(cls, titles: Sequence[str]) -> Titles:
+        encoded = [title.encode("utf-8") for title in titles]
+        lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+        stop = np.cumsum(lengths)
+        return cls(np.frombuffer(b"".join(encoded), dtype=np.uint8), stop - lengths, stop)
+
+    def __len__(self) -> int:
+        return len(self._start)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return self._data[self._start[index] : self._stop[index]].tobytes().decode("utf-8")
+        return Titles(self._data, self._start[index], self._stop[index])
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """A node table as columns, one row per node in file order."""
+
+    id: np.ndarray
+    namespace: np.ndarray
+    titles: Titles
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+
+class CategoryMap:
+    """Article-to-category membership plus category names.
+
+    The membership is held as the sorted, distinct (article, category)
+    rows, in the columns `article` and `category`. It is given either as
+    an article -> categories mapping or as an `(n, 2)` array of `pairs`
+    in any order, repeats allowed.
+    """
+
+    def __init__(
+        self,
+        article_to_categories: Mapping[int, Iterable[int]] | None = None,
+        category_names: dict[int, str] | None = None,
+        *,
+        pairs: np.ndarray | None = None,
+    ):
+        if pairs is None:
+            members = article_to_categories or {}
+            sizes = [len(cs) for cs in members.values()]
+            articles = np.repeat(np.fromiter(members, dtype=np.int64, count=len(members)), sizes)
+            categories = np.fromiter(chain.from_iterable(members.values()), dtype=np.int64, count=sum(sizes))
+            pairs = np.column_stack([articles, categories])
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        distinct = np.ones(len(pairs), dtype=bool)
+        distinct[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+        self.article, self.category = pairs[distinct].T.copy()
+        self.category_names = category_names or {}
+
+    @property
+    def article_to_categories(self) -> dict[int, frozenset[int]]:
+        """The membership as an article -> categories mapping, built on each read."""
+        members: dict[int, set[int]] = {}
+        for article, cat in zip(self.article.tolist(), self.category.tolist()):
+            members.setdefault(article, set()).add(cat)
+        return {a: frozenset(cs) for a, cs in members.items()}
 
     def categories(self) -> frozenset[int]:
         return frozenset(self.category_names)
@@ -124,21 +196,106 @@ def _int_field(value: str, what: str, lineno: int, path) -> int:
     return n
 
 
-def load_nodes(path: str | os.PathLike) -> list[NodeRecord]:
-    """Parse a node table: `id<TAB>title<TAB>namespace`."""
-    records: list[NodeRecord] = []
-    seen: dict[int, int] = {}
+def _rows(data: bytes) -> np.ndarray:
+    """The bytes of a file without its comment and blank lines, each row
+    ending in a newline."""
+    if b"#" in data:
+        # a comment line goes with the newline before it; the first line gets one
+        data = _COMMENT_LINE.sub(b"", b"\n" + data)
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = buf == ord("\n")
+    blank = newline.copy()  # a newline at the start or right after another
+    blank[1:] &= newline[:-1]
+    return buf[~blank] if blank.any() else buf
+
+
+def _fields(buf: np.ndarray, delimiter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The `(n, k)` end offsets and widths of the fields of k-field rows
+    whose fields end at the `delimiter` bytes; None unless, row by row,
+    the delimiters read k-1 tabs, then a newline."""
+    ends = np.flatnonzero(delimiter)
+    if ends.size % k:
+        return None
+    kinds = buf[ends].reshape(-1, k)
+    if not ((kinds[:, :-1] == ord("\t")).all() and (kinds[:, -1] == ord("\n")).all()):
+        return None
+    return ends.reshape(-1, k), (np.diff(ends, prepend=-1) - 1).reshape(-1, k)
+
+
+def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the decimal fields of `widths` bytes that end
+    before `ends`; None if a field is empty, wider than FAST_DIGITS or
+    holds a byte that is not a digit."""
+    if ends.size and not 1 <= widths.min() <= widths.max() <= FAST_DIGITS:
+        return None
+    values = np.zeros(ends.shape, dtype=np.int64)
+    for place in range(int(widths.max()) if ends.size else 0):
+        # the byte `place + 1` before each field's end; fields narrower than
+        # that read another field's byte (or wrap around), masked to 0.
+        # uint8 wraps, so every byte but a digit reads above 9
+        digit = (buf[ends - (place + 1)] - np.uint8(ord("0"))) * (widths > place)
+        if digit.max() > 9:
+            return None
+        values += digit.astype(np.int64) * 10**place
+    return values
+
+
+def _node_columns(data: bytes) -> NodeTable | None:
+    """The node table of a file's bytes.
+
+    Returns None, leaving the verdict to the line scan, on any byte it does
+    not expect: CR, invalid UTF-8, a row without exactly two tabs, an id or
+    namespace that is not 1 to FAST_DIGITS digits (a sign included), or a
+    repeated id.
+    """
+    if b"\r" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    buf = _rows(data)
+    split = _fields(buf, (buf == ord("\t")) | (buf == ord("\n")), 3)
+    if split is None:
+        return None
+    ends, widths = split
+    ids = _decimals(buf, ends[:, 0], widths[:, 0])
+    namespaces = _decimals(buf, ends[:, 2], widths[:, 2])
+    if ids is None or namespaces is None:
+        return None
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    return NodeTable(ids, namespaces, Titles(buf, ends[:, 0] + 1, ends[:, 1]))
+
+
+def _scan_nodes(path: str | os.PathLike) -> NodeTable:
+    """The line-by-line parse of a node table."""
+    ids, titles, namespaces = [], [], []
+    first_line: dict[int, int] = {}
     for lineno, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 3 tab-separated fields, got {len(parts)}", str(path))
         node_id = _int_field(parts[0], "id", lineno, path)
         namespace = _decimal(parts[2], "namespace", lineno, path)
-        if node_id in seen:
-            raise DuplicateNodeId(lineno, f"node id {node_id} already defined on line {seen[node_id]}", str(path))
-        seen[node_id] = lineno
-        records.append(NodeRecord(node_id, parts[1], namespace))
-    return records
+        if node_id in first_line:
+            raise DuplicateNodeId(lineno, f"node id {node_id} already defined on line {first_line[node_id]}", str(path))
+        first_line[node_id] = lineno
+        ids.append(node_id)
+        titles.append(parts[1])
+        namespaces.append(namespace)
+    return NodeTable(np.array(ids, dtype=np.int64), np.array(namespaces, dtype=np.int64), Titles.from_strings(titles))
+
+
+def load_nodes(path: str | os.PathLike) -> NodeTable:
+    """Parse a node table `id<TAB>title<TAB>namespace` into columns."""
+    with open(path, "rb") as fh:
+        table = _node_columns(fh.read())
+    return _scan_nodes(path) if table is None else table
 
 
 def _int_columns(data: bytes, k: int) -> np.ndarray | None:
@@ -150,35 +307,10 @@ def _int_columns(data: bytes, k: int) -> np.ndarray | None:
     """
     if b"\r" in data or not data.isascii():
         return None
-    if b"#" in data:
-        # a comment line goes with the newline before it; the first line gets one
-        data = _COMMENT_LINE.sub(b"", b"\n" + data)
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newline = buf == ord("\n")
-    blank = newline.copy()  # a newline at the start or right after another
-    blank[1:] &= newline[:-1]
-    if blank.any():
-        buf = buf[~blank]
-    # every byte but a digit ends a field; row by row the ends must read k-1 tabs, then a newline
-    ends = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
-    if ends.size % k:
-        return None
-    kinds = buf[ends].reshape(-1, k)
-    if not ((kinds[:, :-1] == ord("\t")).all() and (kinds[:, -1] == ord("\n")).all()):
-        return None
-    widths = np.diff(ends, prepend=-1) - 1
-    if ends.size and not 1 <= widths.min() <= widths.max() <= FAST_DIGITS:
-        return None
-    values = np.zeros(ends.size, dtype=np.int64)
-    for place in range(int(widths.max()) if ends.size else 0):
-        # the digit `place + 1` bytes before each field's end; fields narrower
-        # than that read another field's byte (or wrap around), masked to 0
-        digit = buf[ends - (place + 1)].astype(np.int64) - ord("0")
-        digit *= widths > place
-        values += digit * 10**place
-    return values.reshape(-1, k)
+    buf = _rows(data)
+    # every byte but a digit ends a field
+    split = _fields(buf, (buf < ord("0")) | (buf > ord("9")), k)
+    return None if split is None else _decimals(buf, *split)
 
 
 def _scan_int_columns(path: str | os.PathLike, what: tuple[str, ...]) -> np.ndarray:
@@ -224,11 +356,17 @@ def load_edit_log(path: str | os.PathLike) -> np.ndarray:
 def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike) -> CategoryMap:
     """Parse `article_id<TAB>category_id` plus `category_id<TAB>name`."""
     names: dict[int, str] = {}
+    first_line: dict[int, int] = {}
     for lineno, line in _data_lines(path_names):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ParseError(lineno, f"expected 2 tab-separated fields, got {len(parts)}", str(path_names))
         cat_id = _int_field(parts[0], "category id", lineno, path_names)
+        if cat_id in first_line:
+            raise DuplicateCategoryId(
+                lineno, f"category id {cat_id} already named on line {first_line[cat_id]}", str(path_names)
+            )
+        first_line[cat_id] = lineno
         names[cat_id] = parts[1]
 
     pairs = _read_int_columns(path_map, ("article id", "category id"))
@@ -237,29 +375,22 @@ def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike
         row = int(np.argmin(named))
         line = _record_line(path_map, row + 1)
         raise UnnamedCategory(line, f"category {pairs[row, 1]} has no name entry", str(path_map))
-    members: dict[int, set[int]] = {}
-    for article, cat in pairs.tolist():
-        members.setdefault(article, set()).add(cat)
-
-    return CategoryMap(
-        article_to_categories={a: frozenset(cs) for a, cs in members.items()},
-        category_names=names,
-    )
+    return CategoryMap(category_names=names, pairs=pairs)
 
 
 def filter_main_namespace(
-    nodes: list[NodeRecord], edges: Iterable[tuple[int, int]] | np.ndarray, *, path: str | os.PathLike | None = None
-) -> tuple[list[NodeRecord], np.ndarray, dict[int, int]]:
+    nodes: NodeTable, edges: Iterable[tuple[int, int]] | np.ndarray, *, path: str | os.PathLike | None = None
+) -> tuple[NodeTable, np.ndarray]:
     """Keep main-namespace nodes only, densely renumbering ids in table order.
 
-    Returns (filtered nodes, remapped `(n, 2)` edge array, old-id -> new-id
-    table). Edges touching a removed node are dropped; an edge referencing
-    an id absent from the node table raises :class:`UnknownNodeInEdge` at
-    its ordinal, or, given the `path` the edges were read from, at its
-    physical line in that file.
+    Returns (the kept nodes, with ids 0..k-1, and the remapped `(n, 2)`
+    edge array). Edges touching a removed node are dropped; an edge
+    referencing an id absent from the node table raises
+    :class:`UnknownNodeInEdge` at its ordinal, or, given the `path` the
+    edges were read from, at its physical line in that file.
     """
-    ids = np.fromiter((rec.id for rec in nodes), dtype=np.int64, count=len(nodes))
-    main = np.fromiter((rec.namespace == MAIN_NAMESPACE for rec in nodes), dtype=bool, count=len(nodes))
+    ids = nodes.id
+    main = nodes.namespace == MAIN_NAMESPACE
     new_id = np.where(main, np.cumsum(main) - 1, -1)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
@@ -276,11 +407,9 @@ def filter_main_namespace(
             raise UnknownNodeInEdge(row + 1, reason)
         raise UnknownNodeInEdge(_record_line(path, row + 1), reason, str(path))
     mapped = new_id[order[at]]
-
-    kept_ids = ids[main].tolist()
-    titles = [rec.title for rec in nodes if rec.namespace == MAIN_NAMESPACE]
-    kept = [NodeRecord(i, title, MAIN_NAMESPACE) for i, title in enumerate(titles)]
-    return kept, mapped[(mapped >= 0).all(axis=1)], dict(zip(kept_ids, range(len(kept_ids))))
+    k = int(main.sum())
+    kept = NodeTable(np.arange(k, dtype=np.int64), np.full(k, MAIN_NAMESPACE, dtype=np.int64), nodes.titles[main])
+    return kept, mapped[(mapped >= 0).all(axis=1)]
 
 
 def write_nodes(records: Iterable[NodeRecord], path: str | os.PathLike) -> None:
@@ -306,6 +435,5 @@ def write_category_map(catmap: CategoryMap, path_map: str | os.PathLike, path_na
         for cat_id in sorted(catmap.category_names):
             fh.write(f"{cat_id}\t{catmap.category_names[cat_id]}\n")
     with open(path_map, "w", encoding="utf-8", newline="\n") as fh:
-        for article in sorted(catmap.article_to_categories):
-            for cat in sorted(catmap.article_to_categories[article]):
-                fh.write(f"{article}\t{cat}\n")
+        for article, cat in zip(catmap.article.tolist(), catmap.category.tolist()):
+            fh.write(f"{article}\t{cat}\n")

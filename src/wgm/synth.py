@@ -126,15 +126,11 @@ def generate_zipf_edits(
 
     stay = rng.random(total_edits) < home_bias
     drift = rng.integers(0, max(n_categories - 1, 1), size=total_edits)
-    cats = np.empty(total_edits, dtype=np.int64)
-    for i in range(total_edits):
-        h = home[authors[i] - 1]
-        if stay[i] or n_categories == 1:
-            cats[i] = h
-        else:
-            cats[i] = drift[i] + 1 if drift[i] >= h else drift[i]
+    h = home[authors - 1]
+    # a drifting edit goes to one of the other categories: skip past the home one
+    cats = np.where(stay | (n_categories == 1), h, drift + (drift >= h))
 
-    records = [EditRecord(int(a), int(c)) for a, c in zip(authors, cats)]
+    records = list(map(EditRecord, authors.tolist(), cats.tolist()))
     catmap = CategoryMap(
         article_to_categories={c: frozenset([c]) for c in range(n_categories)},
         category_names={c: f"cat{c:02d}" for c in range(n_categories)},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wgm.graph import build_graph
+from wgm.ingest import NodeRecord, NodeTable, Titles
 
 DATA = __import__("pathlib").Path(__file__).parent / "data"
 
@@ -26,6 +27,20 @@ def distinct_random_edges(n, e, seed):
 
 def seeded_graph(n, e, seed):
     return build_graph(distinct_random_edges(n, e, seed), n)
+
+
+def node_table(records):
+    """The columns of a list of NodeRecords, as `load_nodes` returns them."""
+    return NodeTable(
+        np.array([r.id for r in records], dtype=np.int64),
+        np.array([r.namespace for r in records], dtype=np.int64),
+        Titles.from_strings([r.title for r in records]),
+    )
+
+
+def node_records(table):
+    """The rows of a NodeTable as NodeRecords, titles decoded."""
+    return [NodeRecord(*row) for row in zip(table.id.tolist(), table.titles, table.namespace.tolist())]
 
 
 @pytest.fixture

@@ -450,6 +450,13 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert err.count("\n") == 1  # single-line diagnostic
 
+    def test_duplicate_category_name_is_3(self, tmp_path, capsys):
+        edits, catmap, catnames = write_edit_fixture(tmp_path)
+        (tmp_path / "catnames.tsv").write_text("# names\n5\tfirst\n6\tsports\n\n5\tsecond\n", encoding="utf-8")
+        code, out, err = run(capsys, "categories", "--edits", edits, "--catmap", catmap, "--catnames", catnames)
+        assert (code, out) == (3, "")
+        assert err == f"error: {catnames}:5: category id 5 already named on line 2\n"
+
     def test_missing_file_is_3(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,

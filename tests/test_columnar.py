@@ -1,13 +1,15 @@
-"""The columnar edit analytics and the array TSV parser against references.
+"""The columnar edit analytics and the array TSV parsers against references.
 
 The references are the dict- and line-based algorithms the columnar code
 replaced, kept here verbatim in spirit: a dict of (author, category)
-counts scanned once per category, and a per-line parse. Results must be
-equal to the last bit, which the JSON bytes of `render` make visible
-(-0.0 included).
+counts scanned once per category, a dict of category sets per article,
+and a per-line parse. Results must be equal to the last bit, which the
+JSON bytes of `render` make visible (-0.0 included).
 """
 
 import math
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,17 @@ from wgm.edits import (
     resolve_edits,
 )
 from wgm.errors import EmptyCategory, ParseError
-from wgm.ingest import CategoryMap, _int_columns, _scan_int_columns, load_edges, load_edit_log
+from wgm.ingest import (
+    CategoryMap,
+    _int_columns,
+    _node_columns,
+    _scan_int_columns,
+    _scan_nodes,
+    load_category_map,
+    load_edges,
+    load_edit_log,
+    load_nodes,
+)
 
 
 # --- dict-based reference of the edit analytics -------------------------------
@@ -256,6 +268,127 @@ def test_array_parser_takes_well_formed_files(rows, comments, blanks, final_newl
     path = tmp_path_factory.mktemp("parse") / "edits.tsv"
     path.write_bytes(data)
     assert _scan_int_columns(path, WHAT).tolist() == fast.tolist()
+
+
+# --- the node table: array parser against the line scan ----------------------
+
+id_pieces = st.one_of(
+    st.integers(0, 6).map(lambda n: str(n).encode()),  # a small pool, so ids repeat
+    st.integers(0, 10**18 - 1).map(lambda n: str(n).encode()),
+    st.integers(0, 2**64).map(lambda n: str(n).encode()),
+    st.sampled_from(
+        [b"1" * 18, b"1" * 19, b"9223372036854775807", b"9223372036854775808", b"9" * 25, b"007",
+         b"000000000000000000003", b"-0", b"-1", b"+1", b"", b" 1", b"\xd9\xa3"]
+    ),
+)
+title_pieces = st.one_of(
+    st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=6).map(str.encode),
+    st.sampled_from(
+        [b"", b"#", b"C# (language)", b"Cura\xc3\xa7ao", b"\xe6\x9d\xb1\xe4\xba\xac", b"\xf0\x9f\xa6\x89 Owl",
+         b"\xff", b"\xc3", b"\xe2\x82", b"a\rb", b"\x00", b"\x0c", b"\xe2\x80\xa8", b"\xef\xbb\xbf"]
+    ),
+)
+namespace_pieces = st.one_of(
+    st.integers(0, 15).map(lambda n: str(n).encode()),
+    st.sampled_from(
+        [b"-1", b"-0", b"-14", b"007", b"-9223372036854775808", b"-9223372036854775809", b"9223372036854775808",
+         b"1" * 19, b"", b"1.0", b"+2"]
+    ),
+)
+node_rows = st.one_of(
+    st.tuples(id_pieces, title_pieces, namespace_pieces).map(b"\t".join),
+    st.tuples(id_pieces, title_pieces, namespace_pieces).map(b"\t".join),
+    st.tuples(id_pieces, title_pieces).map(b"\t".join),
+    st.tuples(id_pieces, title_pieces, title_pieces, namespace_pieces).map(b"\t".join),
+)
+node_lines = st.one_of(node_rows, st.sampled_from([b"", b"# comment", b"#1\tA\t0", b"# caf\xc3\xa9", b"# \xff", b" "]))
+node_files = st.tuples(
+    st.booleans(),
+    st.lists(node_lines, max_size=10),
+    st.booleans(),
+    st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"]),
+    st.booleans(),
+).map(lambda t: t[3].join(([b"# first"] if t[0] else []) + t[1] + ([b"# last"] if t[2] else [])) + (t[3] if t[4] else b""))
+
+
+def node_outcome(parse):
+    try:
+        table = parse()
+    except ParseError as err:
+        return ("error", type(err), err.line, err.path, str(err))
+    assert table.id.dtype.name == table.namespace.dtype.name == "int64"
+    return ("ok", table.id.tolist(), table.namespace.tolist(), list(table.titles))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=node_files)
+def test_node_parser_agrees_with_line_scan(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("parse") / "nodes.tsv"
+    path.write_bytes(data)
+    scanned = node_outcome(lambda: _scan_nodes(path))
+    fast = _node_columns(data)
+    if fast is not None:
+        assert node_outcome(lambda: fast) == scanned
+    assert node_outcome(lambda: load_nodes(path)) == scanned
+
+
+clean_titles = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 10**18 - 1), clean_titles, st.integers(0, 10**6)), max_size=30, unique_by=lambda r: r[0]
+    ),
+    comments=st.lists(st.integers(0, 30), max_size=4),
+    blanks=st.lists(st.integers(0, 30), max_size=4),
+    final_newline=st.booleans(),
+)
+def test_node_parser_takes_well_formed_files(rows, comments, blanks, final_newline, tmp_path_factory):
+    lines = [f"{i}\t{title}\t{ns}".encode() for i, title, ns in rows]
+    for at in sorted(comments, reverse=True):
+        lines.insert(min(at, len(lines)), b"# note\t1\t0")
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), b"")
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    fast = _node_columns(data)
+    assert fast is not None
+    assert node_outcome(lambda: fast) == ("ok", [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])
+    path = tmp_path_factory.mktemp("parse") / "nodes.tsv"
+    path.write_bytes(data)
+    assert node_outcome(lambda: _scan_nodes(path)) == node_outcome(lambda: fast)
+
+
+# --- the category map: sorted distinct columns against a dict of sets ---------
+
+
+def ref_category_columns(pairs):
+    members = {}
+    for article, cat in pairs:
+        members.setdefault(article, set()).add(cat)
+    rows = sorted((a, c) for a, cats in members.items() for c in cats)
+    return [a for a, _ in rows], [c for _, c in rows], {a: frozenset(cats) for a, cats in members.items()}
+
+
+category_ids = st.one_of(st.integers(0, 8), st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(category_ids, st.sampled_from([0, 3, 7, 2**63 - 1])), max_size=40))
+def test_category_columns_match_dict_reference(pairs, tmp_path_factory):
+    articles, categories, members = ref_category_columns(pairs)
+    names = {0: "zero", 3: "three", 7: "seven", 2**63 - 1: "last"}
+    d = tmp_path_factory.mktemp("catmap")
+    (d / "catmap.tsv").write_text("".join(f"{a}\t{c}\n" for a, c in pairs), encoding="utf-8")
+    (d / "catnames.tsv").write_text("".join(f"{c}\t{n}\n" for c, n in names.items()), encoding="utf-8")
+    for catmap in (
+        load_category_map(d / "catmap.tsv", d / "catnames.tsv"),
+        CategoryMap(article_to_categories=members, category_names=names),
+        CategoryMap(category_names=names, pairs=np.array(pairs, dtype=np.int64)),
+    ):
+        assert (catmap.article.tolist(), catmap.category.tolist()) == (articles, categories)
+        assert catmap.article.dtype.name == catmap.category.dtype.name == "int64"
+        assert catmap.article_to_categories == members
 
 
 def test_large_log_matches_dict_reference_to_the_last_bit():

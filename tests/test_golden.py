@@ -1,6 +1,7 @@
 """Golden output: the sha256 of every byte the CLI writes for the bundled
-fixture. A kernel change that moves any output byte fails here; a change
-meant to alter the output must update these digests on purpose."""
+fixtures and of every file `wgm synth` writes. A kernel change that moves
+any output byte fails here; a change meant to alter the output must update
+these digests on purpose."""
 
 import hashlib
 
@@ -10,6 +11,8 @@ from wgm.cli import main
 
 GRAPH = ["--nodes", "nodes.tsv", "--edges", "edges.tsv"]
 EDITS = ["--edits", "edits.tsv", "--catmap", "catmap.tsv", "--catnames", "catnames.tsv"]
+# multi-byte UTF-8 titles, `#` in a title, an empty title, non-main rows between main ones
+TITLES = ["--nodes", "titles_nodes.tsv", "--edges", "titles_edges.tsv"]
 
 GOLDEN = {
     "report": (["report", *GRAPH, *EDITS], "790ef6d01acf2873d7de6c2e3e61af431b518772c1e020ed189a31cbebbbce61"),
@@ -75,6 +78,60 @@ GOLDEN = {
         ["report", "--include-anonymous", *GRAPH, *EDITS],
         "7da33171ac1fe4988a4ba08217c07055f5105a6072428f132167ba7e5bdeea29",
     ),
+    "degrees-titles": (["degrees", *TITLES], "48195da13b9813eca683af78135d325e5f8051677aacad87356b0ad79d4350d5"),
+    "degrees-titles-csv": (
+        ["degrees", "--format", "csv", *TITLES],
+        "109e83864909dad12aee7eaabaeadf84b5a298b40bacf18bc717b7bdd0f67ecc",
+    ),
+}
+
+# `wgm synth` flags -> sha256 of each file it writes
+SYNTH_NODES = "eb74917ba57e9c20303ceb09bd3af3159e3b0a72f920ab7146f3fa3080dc86b3"
+SYNTH_CATEGORIES = {
+    "catmap.tsv": "4e4fd2d165e52f6fdf966a888cb6cfc57f4b3c633cc86a901000d2466431dccd",
+    "catnames.tsv": "2bc8e059f1020d877e8c645b1a995af50284c1db94e06a099e7c7a0e9d84222e",
+}
+SYNTH_GOLDEN = {
+    "zipf-edits-1": (
+        ["--kind", "zipf-edits", "--seed", "1"],
+        {"edits.tsv": "7e42ffdd993eb7daf75c3da36fc014b657c7e07eaf1b187b1a32b56706115fb4", **SYNTH_CATEGORIES},
+    ),
+    "zipf-edits-7": (
+        ["--kind", "zipf-edits", "--seed", "7"],
+        {"edits.tsv": "dd2b188d72f690f54e51f91ab88cbf9ebb4d7a2c059d7c8665f28c2562129df0", **SYNTH_CATEGORIES},
+    ),
+    "zipf-edits-one-category": (
+        ["--kind", "zipf-edits", "--seed", "3", "--categories", "1"],
+        {
+            "edits.tsv": "08b2d56f0f2d3dc9fb87ca3cc01da2ba7612d5958de5b11709acaa8843507115",
+            "catmap.tsv": "4b14c7b5549e560a68e9c4daaae3fdb8a28fe32d0247050325e7c5a3b2b3271c",
+            "catnames.tsv": "81604876e774ba4fc40d52232e8277737618e7b607ef42970d36a75e145db29b",
+        },
+    ),
+    "zipf-edits-no-home-bias": (
+        ["--kind", "zipf-edits", "--seed", "3", "--home-bias", "0", "--categories", "3"],
+        {
+            "edits.tsv": "2a7e4e7801bb31f99f13a5b48a0d61a103fa3335e177597cfd3a4f7778aa4366",
+            "catmap.tsv": "7a62d8b6b45aa3d2c07ee5a339d1ad13107c7622e35de35ec84e24b831b52f6e",
+            "catnames.tsv": "6ae3d8965af1670543d1d28395f46781f69ba7a796cfff27f5f4069106de1639",
+        },
+    ),
+    "preferential-1": (
+        ["--kind", "preferential", "--seed", "1"],
+        {"edges.tsv": "ce48080742fae32f2813f768cc9a667fd497aa81e69e40a6b45abb5cc03835ef", "nodes.tsv": SYNTH_NODES},
+    ),
+    "preferential-7": (
+        ["--kind", "preferential", "--seed", "7"],
+        {"edges.tsv": "f2201183b64a3afab4cf09364064c7632af9a519d55ff602e58e49e4acd8b24d", "nodes.tsv": SYNTH_NODES},
+    ),
+    "uniform-1": (
+        ["--kind", "uniform", "--seed", "1"],
+        {"edges.tsv": "4d77137137b22c25707e8bcde61b48f61f00544f055ad3861ad16e60cbc5c74f", "nodes.tsv": SYNTH_NODES},
+    ),
+    "uniform-7": (
+        ["--kind", "uniform", "--seed", "7"],
+        {"edges.tsv": "57ce87c236fa4cf5b3c70f2d845d1b808451c5eea628fdc4ad177f46071130b1", "nodes.tsv": SYNTH_NODES},
+    ),
 }
 
 
@@ -85,3 +142,12 @@ def test_fixture_output_digest(name, data_dir, tmp_path):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_GOLDEN))
+def test_synth_file_digests(name, tmp_path, capsys):
+    flags, digests = SYNTH_GOLDEN[name]
+    assert main(["synth", *flags, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import node_records, node_table
 
 from wgm.errors import (
+    DuplicateCategoryId,
     DuplicateNodeId,
     ParseError,
     UnknownNodeInEdge,
@@ -32,10 +34,10 @@ def _write(tmp_path, name, text):
 class TestLoadNodes:
     def test_single_record(self, tmp_path):
         path = _write(tmp_path, "nodes.tsv", "0\tAmsterdam\t0\n")
-        assert load_nodes(path) == [NodeRecord(0, "Amsterdam", 0)]
+        assert node_records(load_nodes(path)) == [NodeRecord(0, "Amsterdam", 0)]
 
     def test_empty_file(self, tmp_path):
-        assert load_nodes(_write(tmp_path, "nodes.tsv", "")) == []
+        assert node_records(load_nodes(_write(tmp_path, "nodes.tsv", ""))) == []
 
     def test_non_integer_id_reports_line_1(self, tmp_path):
         path = _write(tmp_path, "nodes.tsv", "x\tA\t0\n")
@@ -53,7 +55,8 @@ class TestLoadNodes:
         path = _write(tmp_path, "nodes.tsv", "0\tA\t0\n0\tB\t0\n")
         with pytest.raises(DuplicateNodeId) as err:
             load_nodes(path)
-        assert err.value.line == 2
+        assert (err.value.line, err.value.path) == (2, str(path))
+        assert err.value.reason == "node id 0 already defined on line 1"
 
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(ParseError):
@@ -61,7 +64,7 @@ class TestLoadNodes:
 
     def test_utf8_titles(self, tmp_path):
         path = _write(tmp_path, "nodes.tsv", "0\tAmsterdam (stad)\t0\n1\tCuraçao\t0\n")
-        assert [r.title for r in load_nodes(path)] == ["Amsterdam (stad)", "Curaçao"]
+        assert list(load_nodes(path).titles) == ["Amsterdam (stad)", "Curaçao"]
 
 
 class TestLoadEdges:
@@ -116,6 +119,13 @@ class TestLoadCategoryMap:
             load_category_map(path, _write(tmp_path, "names.tsv", "2\tsci\n"))
         assert (err.value.line, err.value.path) == (4, str(path))
 
+    def test_duplicate_category_id_names_both_lines(self, tmp_path):
+        names = _write(tmp_path, "names.tsv", "5\tfirst\n# again\n5\tsecond\n")
+        with pytest.raises(DuplicateCategoryId) as err:
+            load_category_map(_write(tmp_path, "map.tsv", "1\t5\n"), names)
+        assert (err.value.line, err.value.path) == (3, str(names))
+        assert err.value.reason == "category id 5 already named on line 1"
+
     def test_unnamed_category(self, tmp_path):
         with pytest.raises(UnnamedCategory) as err:
             load_category_map(
@@ -127,18 +137,16 @@ class TestLoadCategoryMap:
 
 class TestFilterMainNamespace:
     def test_drops_other_namespaces_and_their_edges(self):
-        nodes = [NodeRecord(0, "A", 0), NodeRecord(1, "Talk:A", 1)]
-        kept, edges, remap = filter_main_namespace(nodes, [(0, 1)])
-        assert kept == [NodeRecord(0, "A", 0)]
+        nodes = node_table([NodeRecord(0, "A", 0), NodeRecord(1, "Talk:A", 1)])
+        kept, edges = filter_main_namespace(nodes, [(0, 1)])
+        assert node_records(kept) == [NodeRecord(0, "A", 0)]
         assert edges.shape == (0, 2)
-        assert remap == {0: 0}
 
     def test_identity_when_all_main(self):
-        nodes = [NodeRecord(i, f"t{i}", 0) for i in range(4)]
-        kept, edges, remap = filter_main_namespace(nodes, [(0, 1), (2, 3)])
-        assert kept == nodes
+        records = [NodeRecord(i, f"t{i}", 0) for i in range(4)]
+        kept, edges = filter_main_namespace(node_table(records), [(0, 1), (2, 3)])
+        assert node_records(kept) == records
         assert edges.tolist() == [[0, 1], [2, 3]]
-        assert remap == {i: i for i in range(4)}
 
     def test_matches_two_pass_reference(self):
         nodes = [
@@ -158,28 +166,26 @@ class TestFilterMainNamespace:
             [ref_map[s], ref_map[t]] for s, t in edges if s in ref_map and t in ref_map
         ]
 
-        kept, new_edges, remap = filter_main_namespace(nodes, edges)
-        assert remap == ref_map
+        kept, new_edges = filter_main_namespace(node_table(nodes), edges)
         assert new_edges.tolist() == ref_edges
-        assert [r.id for r in kept] == sorted(ref_map.values())
+        assert node_records(kept) == [NodeRecord(ref_map[r.id], r.title, 0) for r in nodes if r.namespace == 0]
 
     def test_idempotent(self):
-        nodes = [NodeRecord(2, "a", 0), NodeRecord(5, "b", 3), NodeRecord(8, "c", 0)]
+        nodes = node_table([NodeRecord(2, "a", 0), NodeRecord(5, "b", 3), NodeRecord(8, "c", 0)])
         edges = [(2, 8), (8, 5)]
-        kept1, edges1, _ = filter_main_namespace(nodes, edges)
-        kept2, edges2, remap2 = filter_main_namespace(kept1, edges1)
-        assert kept2 == kept1
+        kept1, edges1 = filter_main_namespace(nodes, edges)
+        kept2, edges2 = filter_main_namespace(kept1, edges1)
+        assert node_records(kept2) == node_records(kept1) == [NodeRecord(0, "a", 0), NodeRecord(1, "c", 0)]
         assert np.array_equal(edges2, edges1)
-        assert remap2 == {i: i for i in range(len(kept1))}
 
     def test_unknown_node_in_edge(self):
         with pytest.raises(UnknownNodeInEdge) as err:
-            filter_main_namespace([NodeRecord(0, "a", 0)], [(0, 0), (0, 99)])
+            filter_main_namespace(node_table([NodeRecord(0, "a", 0)]), [(0, 0), (0, 99)])
         assert err.value.line == 2
 
     def test_unknown_node_given_the_path_names_file_and_physical_line(self, tmp_path):
         path = _write(tmp_path, "edges.tsv", "# edges\n0\t1\n\n1\t3\n")
-        nodes = [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(5, "c", 1)]
+        nodes = node_table([NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(5, "c", 1)])
         with pytest.raises(UnknownNodeInEdge) as err:
             filter_main_namespace(nodes, load_edges(path), path=path)
         assert (err.value.line, err.value.path) == (4, str(path))
@@ -187,9 +193,10 @@ class TestFilterMainNamespace:
 
     def test_ids_far_apart_need_no_id_sized_table(self):
         big = 2**62
-        nodes = [NodeRecord(big, "a", 0), NodeRecord(7, "b", 0), NodeRecord(big + 9, "c", 4)]
-        kept, edges, remap = filter_main_namespace(nodes, np.array([[big, 7], [7, big + 9], [7, big]]))
-        assert remap == {big: 0, 7: 1}
+        nodes = node_table([NodeRecord(big, "a", 0), NodeRecord(7, "b", 0), NodeRecord(big + 9, "c", 4)])
+        kept, edges = filter_main_namespace(nodes, np.array([[big, 7], [7, big + 9], [7, big]]))
+        # big -> 0, 7 -> 1
+        assert node_records(kept) == [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0)]
         assert edges.tolist() == [[0, 1], [1, 0]]
 
 
@@ -294,7 +301,7 @@ class TestRoundTrips:
         records = [NodeRecord(0, "Amsterdam", 0), NodeRecord(4, "Overleg:X", 1)]
         path = tmp_path / "n.tsv"
         write_nodes(records, path)
-        assert load_nodes(path) == records
+        assert node_records(load_nodes(path)) == records
 
     def test_edges(self, tmp_path):
         edges = [(0, 1), (1, 2), (2, 0)]
@@ -385,7 +392,7 @@ class TestStrictDecimals:
 
     def test_negative_namespace_accepted(self, tmp_path):
         path = _write(tmp_path, "nodes.tsv", "0\tSpecial:X\t-1\n1\tA\t-0\n")
-        assert [r.namespace for r in load_nodes(path)] == [-1, 0]
+        assert load_nodes(path).namespace.tolist() == [-1, 0]
 
     @pytest.mark.parametrize("value", ["1_0", " +5 ", "٣"])
     def test_cli_exit_3_with_path_and_line(self, tmp_path, capsys, value):

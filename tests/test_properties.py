@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from conftest import node_records as table_records
+from conftest import node_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,7 +178,7 @@ node_records = st.lists(
 def test_node_parse_serialize_round_trip(records, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "nodes.tsv"
     write_nodes(records, path)
-    assert load_nodes(path) == records
+    assert table_records(load_nodes(path)) == records
 
 
 @given(
@@ -200,8 +202,8 @@ def test_filter_main_namespace_idempotent(records, data):
         )
     else:
         edges = []
-    kept1, edges1, _ = filter_main_namespace(records, edges)
-    kept2, edges2, remap2 = filter_main_namespace(kept1, edges1)
-    assert kept2 == kept1
+    kept1, edges1 = filter_main_namespace(node_table(records), edges)
+    kept2, edges2 = filter_main_namespace(kept1, edges1)
+    assert table_records(kept2) == table_records(kept1)
+    assert kept1.id.tolist() == list(range(len(kept1)))
     assert np.array_equal(edges2, edges1)
-    assert remap2 == {i: i for i in range(len(kept1))}
