@@ -325,6 +325,8 @@ def _cmd_synth(cfg: RunConfig) -> None:
 
 
 def _cmd_report(cfg: RunConfig) -> None:
+    if any(getattr(cfg, name) is not None for name in ("edits", "catmap", "catnames")):
+        _require(cfg, "edits", "catmap", "catnames")  # before any file is read
     graph = _load_graph(cfg)
     sections = {
         "graph": lambda: _graph_summary(graph),

@@ -27,6 +27,7 @@ from .errors import (
     EmptyProfile,
     InvalidFraction,
 )
+from .graph import _run_starts
 from .ingest import CategoryMap
 
 __all__ = [
@@ -76,9 +77,6 @@ class EditLog:
         built on first use."""
         keys = zip(self.author.tolist(), self.category.tolist())
         return MappingProxyType(dict(zip(keys, self.count.tolist())))
-
-    def authors(self) -> list[int]:
-        return np.unique(self.author).tolist()
 
     def active_categories(self, author: int) -> int:
         """The number of categories `author` edited."""
@@ -154,13 +152,6 @@ def resolve_edits(
         count=count.astype(np.int64),
         categories=selected,
     )
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """The index of the first element of each run of equal values."""
-    change = np.ones(keys.size, dtype=bool)
-    change[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(change)
 
 
 def _ranking(log: EditLog, category: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,19 +5,19 @@ All files are UTF-8, one record per line, fields separated by single
 tabs. Lines starting with '#' and blank lines are skipped. Every parse
 failure carries its 1-based physical line number.
 
-Every file is read whole and parsed in numpy: the all-integer files
-(edge lists, edit logs, category maps) into `(n, k)` int64 arrays, the
-node table into id and namespace columns with each title kept as a byte
-range of the file, decoded only when read. Bytes those parsers do not
-expect send the file through the line-by-line scan instead, which parses
-the same records or names the offending line.
+Every file is read whole and parsed in numpy by one array parser, driven
+by the file's column table (`NODE_COLUMNS` and the like): the numeric
+columns into an `(n, m)` int64 array, each text column kept as byte
+ranges of the file, decoded only when read. Bytes the parser does not
+expect send the file through the one line scan instead, which parses the
+same records or names the offending line.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
@@ -69,9 +69,10 @@ class EditRecord(NamedTuple):
 
 
 class Titles(Sequence):
-    """Node titles held as byte ranges of one UTF-8 buffer; a title is
-    decoded only when it is read. An int index reads one title, an index
-    array or boolean mask gives the view of those titles."""
+    """The values of a text column (node titles, category names) held as
+    byte ranges of one UTF-8 buffer; a title is decoded only when it is read.
+    An int index reads one title, an index array or boolean mask gives the
+    view of those titles."""
 
     def __init__(self, data: np.ndarray, start: np.ndarray, stop: np.ndarray):
         self._data, self._start, self._stop = data, start, stop
@@ -90,6 +91,10 @@ class Titles(Sequence):
         if isinstance(index, (int, np.integer)):
             return self._data[self._start[index] : self._stop[index]].tobytes().decode("utf-8")
         return Titles(self._data, self._start[index], self._stop[index])
+
+    def __iter__(self) -> Iterator[str]:
+        data = self._data.tobytes()
+        return (data[a:b].decode("utf-8") for a, b in zip(self._start.tolist(), self._stop.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,35 +151,25 @@ class CategoryMap:
 
 
 def _data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line), skipping comments/blanks.
-
-    Bytes that are not UTF-8 raise :class:`ParseError` at their line.
-    """
-    lineno = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if line and not line.startswith("#"):
-                    yield lineno, line
-    except UnicodeDecodeError:
-        # the text reader decodes ahead of the line it yields, so the rest
-        # of the file is split into lines the same way and decoded one by one
-        with open(path, "rb") as fh:
-            rest = fh.read().splitlines()[lineno:]
-        for lineno, raw in enumerate(rest, start=lineno + 1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise ParseError(lineno, f"invalid UTF-8 at byte {err.start} of the line", str(path)) from None
-            if line and not line.startswith("#"):
-                yield lineno, line
+    """Yield (1-based line number, line), skipping comments and blanks. Lines
+    end at LF, CR or CRLF; bytes that are not UTF-8 raise ParseError at their line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(lineno, f"invalid UTF-8 at byte {err.start} of the line", str(path)) from None
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
-def _decimal(value: str, what: str, lineno: int, path) -> int:
+def _signed(value: str, what: str, lineno: int, path) -> int:
     """The int64 that the ASCII decimal `-?[0-9]+` in `value` spells; anything
     else, such as `1_0`, `+5`, padding, non-ASCII digits or a value outside
     the int64 range, is a ParseError."""
+    if len(value) <= FAST_DIGITS and value.isdigit() and value.isascii():  # the common case
+        return int(value)
     digits = value[1:] if value[:1] == "-" else value
     if not (digits.isascii() and digits.isdigit()):
         raise ParseError(lineno, f"non-integer {what}: {value!r}", str(path))
@@ -187,13 +182,31 @@ def _decimal(value: str, what: str, lineno: int, path) -> int:
     return n
 
 
-def _int_field(value: str, what: str, lineno: int, path) -> int:
+def _unsigned(value: str, what: str, lineno: int, path) -> int:
     if len(value) <= FAST_DIGITS and value.isdigit() and value.isascii():  # the common case, without a call
         return int(value)
-    n = _decimal(value, what, lineno, path)
+    n = _signed(value, what, lineno, path)
     if n < 0:
         raise ParseError(lineno, f"negative {what}: {n}", str(path))
     return n
+
+
+def _text(value: str, what: str, lineno: int, path) -> str:
+    return value
+
+
+# each file's columns: (name in error messages, field parser of the line scan)
+Columns = tuple[tuple[str, Callable[[str, str, int, object], object]], ...]
+NODE_COLUMNS: Columns = (("id", _unsigned), ("title", _text), ("namespace", _signed))
+EDGE_COLUMNS: Columns = (("source id", _unsigned), ("target id", _unsigned))
+EDIT_COLUMNS: Columns = (("author id", _unsigned), ("article id", _unsigned))
+MAP_COLUMNS: Columns = (("article id", _unsigned), ("category id", _unsigned))
+NAME_COLUMNS: Columns = (("category id", _unsigned), ("name", _text))
+# the error and message of a repeated first column, in the files that forbid one
+Duplicate = tuple[type[ParseError], str]
+DUPLICATE_NODE: Duplicate = (DuplicateNodeId, "node id {} already defined on line {}")
+DUPLICATE_CATEGORY: Duplicate = (DuplicateCategoryId, "category id {} already named on line {}")
+Parsed = tuple[np.ndarray, list[Titles]]
 
 
 def _rows(data: bytes) -> np.ndarray:
@@ -209,19 +222,6 @@ def _rows(data: bytes) -> np.ndarray:
     blank = newline.copy()  # a newline at the start or right after another
     blank[1:] &= newline[:-1]
     return buf[~blank] if blank.any() else buf
-
-
-def _fields(buf: np.ndarray, delimiter: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The `(n, k)` end offsets and widths of the fields of k-field rows
-    whose fields end at the `delimiter` bytes; None unless, row by row,
-    the delimiters read k-1 tabs, then a newline."""
-    ends = np.flatnonzero(delimiter)
-    if ends.size % k:
-        return None
-    kinds = buf[ends].reshape(-1, k)
-    if not ((kinds[:, :-1] == ord("\t")).all() and (kinds[:, -1] == ord("\n")).all()):
-        return None
-    return ends.reshape(-1, k), (np.diff(ends, prepend=-1) - 1).reshape(-1, k)
 
 
 def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
@@ -242,13 +242,14 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarr
     return values
 
 
-def _node_columns(data: bytes) -> NodeTable | None:
-    """The node table of a file's bytes.
+def _parse(data: bytes, columns: Columns, unique: bool) -> Parsed | None:
+    """A file's numeric columns as an `(n, m)` int64 array and its text
+    columns, from the file's bytes.
 
     Returns None, leaving the verdict to the line scan, on any byte it does
-    not expect: CR, invalid UTF-8, a row without exactly two tabs, an id or
-    namespace that is not 1 to FAST_DIGITS digits (a sign included), or a
-    repeated id.
+    not expect: CR, invalid UTF-8, a row without exactly k-1 tabs, a
+    numeric field that is not 1 to FAST_DIGITS digits (a sign included)
+    or, if `unique`, a repeated first column.
     """
     if b"\r" in data:
         return None
@@ -258,77 +259,56 @@ def _node_columns(data: bytes) -> NodeTable | None:
         except UnicodeDecodeError:
             return None
     buf = _rows(data)
-    split = _fields(buf, (buf == ord("\t")) | (buf == ord("\n")), 3)
-    if split is None:
+    k = len(columns)
+    ends = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
+    if ends.size % k:
         return None
-    ends, widths = split
-    ids = _decimals(buf, ends[:, 0], widths[:, 0])
-    namespaces = _decimals(buf, ends[:, 2], widths[:, 2])
-    if ids is None or namespaces is None:
+    kinds = buf[ends].reshape(-1, k)
+    if not ((kinds[:, :-1] == ord("\t")).all() and (kinds[:, -1] == ord("\n")).all()):
         return None
-    ordered = np.sort(ids)
-    if (ordered[1:] == ordered[:-1]).any():
+    widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, k)
+    ends = ends.reshape(-1, k)
+    numeric = [j for j, (_, parse) in enumerate(columns) if parse is not _text]
+    texts = [Titles(buf, ends[:, j] - widths[:, j], ends[:, j]) for j in range(k) if j not in numeric]
+    if texts:  # a column at a time, each as many digit places as its own widest field
+        decoded = [_decimals(buf, ends[:, j], widths[:, j]) for j in numeric]
+        values = None if any(column is None for column in decoded) else np.column_stack(decoded)
+    else:
+        values = _decimals(buf, ends, widths)
+    if values is None:
         return None
-    return NodeTable(ids, namespaces, Titles(buf, ends[:, 0] + 1, ends[:, 1]))
+    if unique and (np.diff(np.sort(values[:, 0])) == 0).any():
+        return None
+    return values, texts
 
 
-def _scan_nodes(path: str | os.PathLike) -> NodeTable:
-    """The line-by-line parse of a node table."""
-    ids, titles, namespaces = [], [], []
+def _scan(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None = None) -> Parsed:
+    """The line-by-line parse: what `_parse` returns, or the error of the
+    first bad line. Given `duplicate`, a repeated first column raises it."""
+    rows = []
     first_line: dict[int, int] = {}
     for lineno, line in _data_lines(path):
         parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(lineno, f"expected 3 tab-separated fields, got {len(parts)}", str(path))
-        node_id = _int_field(parts[0], "id", lineno, path)
-        namespace = _decimal(parts[2], "namespace", lineno, path)
-        if node_id in first_line:
-            raise DuplicateNodeId(lineno, f"node id {node_id} already defined on line {first_line[node_id]}", str(path))
-        first_line[node_id] = lineno
-        ids.append(node_id)
-        titles.append(parts[1])
-        namespaces.append(namespace)
-    return NodeTable(np.array(ids, dtype=np.int64), np.array(namespaces, dtype=np.int64), Titles.from_strings(titles))
+        if len(parts) != len(columns):
+            raise ParseError(lineno, f"expected {len(columns)} tab-separated fields, got {len(parts)}", str(path))
+        row = [parse(value, what, lineno, path) for value, (what, parse) in zip(parts, columns)]
+        if duplicate and first_line.setdefault(row[0], lineno) != lineno:
+            error, message = duplicate
+            raise error(lineno, message.format(row[0], first_line[row[0]]), str(path))
+        rows.append(row)
+    numeric = [j for j, (_, parse) in enumerate(columns) if parse is not _text]
+    if len(numeric) == len(columns):
+        return np.array(rows, dtype=np.int64).reshape(-1, len(columns)), []
+    fields = list(zip(*rows)) or [()] * len(columns)
+    values = np.array([fields[j] for j in numeric], dtype=np.int64).reshape(len(numeric), -1).T.copy()
+    return values, [Titles.from_strings(fields[j]) for j in range(len(columns)) if j not in numeric]
 
 
-def load_nodes(path: str | os.PathLike) -> NodeTable:
-    """Parse a node table `id<TAB>title<TAB>namespace` into columns."""
+def _read(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None = None) -> Parsed:
+    """Parse a file in numpy, or by the line scan where that leaves the verdict to it."""
     with open(path, "rb") as fh:
-        table = _node_columns(fh.read())
-    return _scan_nodes(path) if table is None else table
-
-
-def _int_columns(data: bytes, k: int) -> np.ndarray | None:
-    """The `(n, k)` int64 array of a file of k non-negative integer columns.
-
-    Returns None, leaving the verdict to the line scan, on any byte it does
-    not expect: CR, non-ASCII, a sign, an empty field, a wrong field count
-    or a token of more than FAST_DIGITS digits.
-    """
-    if b"\r" in data or not data.isascii():
-        return None
-    buf = _rows(data)
-    # every byte but a digit ends a field
-    split = _fields(buf, (buf < ord("0")) | (buf > ord("9")), k)
-    return None if split is None else _decimals(buf, *split)
-
-
-def _scan_int_columns(path: str | os.PathLike, what: tuple[str, ...]) -> np.ndarray:
-    """The line-by-line parse of a file of non-negative integer columns."""
-    rows = []
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != len(what):
-            raise ParseError(lineno, f"expected {len(what)} tab-separated fields, got {len(parts)}", str(path))
-        rows.append([_int_field(value, name, lineno, path) for value, name in zip(parts, what)])
-    return np.array(rows, dtype=np.int64).reshape(-1, len(what))
-
-
-def _read_int_columns(path: str | os.PathLike, what: tuple[str, ...]) -> np.ndarray:
-    """Parse a file of non-negative integer columns into an `(n, k)` int64 array."""
-    with open(path, "rb") as fh:
-        table = _int_columns(fh.read(), len(what))
-    return _scan_int_columns(path, what) if table is None else table
+        parsed = _parse(fh.read(), columns, duplicate is not None)
+    return _scan(path, columns, duplicate) if parsed is None else parsed
 
 
 def _record_line(path: str | os.PathLike, ordinal: int) -> int:
@@ -336,12 +316,18 @@ def _record_line(path: str | os.PathLike, ordinal: int) -> int:
     return next(islice(_data_lines(path), ordinal - 1, None), (ordinal, ""))[0]
 
 
+def load_nodes(path: str | os.PathLike) -> NodeTable:
+    """Parse a node table `id<TAB>title<TAB>namespace` into columns."""
+    values, (titles,) = _read(path, NODE_COLUMNS, DUPLICATE_NODE)
+    return NodeTable(*values.T.copy(), titles)
+
+
 def load_edges(path: str | os.PathLike) -> np.ndarray:
     """Parse an edge list `source_id<TAB>target_id` into an `(n, 2)` array.
 
     Whether each id names a node is checked by :func:`filter_main_namespace`.
     """
-    return _read_int_columns(path, ("source id", "target id"))
+    return _read(path, EDGE_COLUMNS)[0]
 
 
 def load_edit_log(path: str | os.PathLike) -> np.ndarray:
@@ -350,32 +336,19 @@ def load_edit_log(path: str | os.PathLike) -> np.ndarray:
 
     Duplicates are kept; repeat edits are meaningful.
     """
-    return _read_int_columns(path, ("author id", "article id"))
+    return _read(path, EDIT_COLUMNS)[0]
 
 
 def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike) -> CategoryMap:
     """Parse `article_id<TAB>category_id` plus `category_id<TAB>name`."""
-    names: dict[int, str] = {}
-    first_line: dict[int, int] = {}
-    for lineno, line in _data_lines(path_names):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected 2 tab-separated fields, got {len(parts)}", str(path_names))
-        cat_id = _int_field(parts[0], "category id", lineno, path_names)
-        if cat_id in first_line:
-            raise DuplicateCategoryId(
-                lineno, f"category id {cat_id} already named on line {first_line[cat_id]}", str(path_names)
-            )
-        first_line[cat_id] = lineno
-        names[cat_id] = parts[1]
-
-    pairs = _read_int_columns(path_map, ("article id", "category id"))
-    named = np.isin(pairs[:, 1], np.fromiter(names, dtype=np.int64, count=len(names)))
+    name_ids, (names,) = _read(path_names, NAME_COLUMNS, DUPLICATE_CATEGORY)
+    pairs = _read(path_map, MAP_COLUMNS)[0]
+    named = np.isin(pairs[:, 1], name_ids[:, 0])
     if not named.all():
         row = int(np.argmin(named))
         line = _record_line(path_map, row + 1)
         raise UnnamedCategory(line, f"category {pairs[row, 1]} has no name entry", str(path_map))
-    return CategoryMap(category_names=names, pairs=pairs)
+    return CategoryMap(category_names=dict(zip(name_ids[:, 0].tolist(), names)), pairs=pairs)
 
 
 def filter_main_namespace(

@@ -490,6 +490,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "--format csv" in err and err.count("\n") == 1
 
+    def test_report_with_catmap_alone_is_2(self, tmp_path, capsys):
+        # the map path does not exist, and the flag used to be dropped silently
+        nodes, edges = write_cycle_fixture(tmp_path)
+        code, out, err = run(capsys, "report", "--nodes", nodes, "--edges", edges, "--catmap", str(tmp_path / "m"))
+        assert (code, out) == (2, "")
+        assert "--edits is required" in err and err.count("\n") == 1
+
+    def test_report_with_edits_alone_is_2_before_io(self, tmp_path, capsys):
+        # the node table does not exist: reading it would exit 3
+        edits, _, _ = write_edit_fixture(tmp_path)
+        missing = [str(tmp_path / name) for name in ("n", "e")]
+        code, out, err = run(capsys, "report", "--nodes", missing[0], "--edges", missing[1], "--edits", edits)
+        assert (code, out) == (2, "")
+        assert "--catmap is required" in err and err.count("\n") == 1
+
     def test_unwritable_out_is_2_naming_the_path(self, tmp_path, capsys):
         nodes, edges = write_cycle_fixture(tmp_path)
         out = tmp_path / "no" / "such" / "dir" / "x.json"

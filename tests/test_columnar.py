@@ -28,11 +28,16 @@ from wgm.edits import (
 )
 from wgm.errors import EmptyCategory, ParseError
 from wgm.ingest import (
+    DUPLICATE_CATEGORY,
+    DUPLICATE_NODE,
+    EDGE_COLUMNS,
+    EDIT_COLUMNS,
+    NAME_COLUMNS,
+    NODE_COLUMNS,
     CategoryMap,
-    _int_columns,
-    _node_columns,
-    _scan_int_columns,
-    _scan_nodes,
+    NodeTable,
+    _parse,
+    _scan,
     load_category_map,
     load_edges,
     load_edit_log,
@@ -200,7 +205,15 @@ def test_entropy_side_matches_dict_reference(log_data, bin_width):
 
 # --- the array parser against the line scan ----------------------------------
 
-WHAT = ("author id", "article id")
+
+def parse_ints(data):
+    parsed = _parse(data, EDIT_COLUMNS, False)
+    return None if parsed is None else parsed[0]
+
+
+def scan_ints(path, columns=EDIT_COLUMNS):
+    return _scan(path, columns)[0]
+
 
 # pieces a field can be made of: plain ids, and everything the line scan
 # must judge (signs, blanks, CR, comments, non-UTF-8 bytes, 19+ digits)
@@ -240,12 +253,12 @@ def outcome(parse):
 def test_array_parser_agrees_with_line_scan(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("parse") / "edits.tsv"
     path.write_bytes(data)
-    scanned = outcome(lambda: _scan_int_columns(path, WHAT))
-    fast = _int_columns(data, 2)
+    scanned = outcome(lambda: scan_ints(path))
+    fast = parse_ints(data)
     if fast is not None:
         assert scanned == ("ok", fast.tolist())
     assert outcome(lambda: load_edit_log(path)) == scanned
-    assert outcome(lambda: load_edges(path)) == outcome(lambda: _scan_int_columns(path, ("source id", "target id")))
+    assert outcome(lambda: load_edges(path)) == outcome(lambda: scan_ints(path, EDGE_COLUMNS))
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,12 +275,12 @@ def test_array_parser_takes_well_formed_files(rows, comments, blanks, final_newl
     for at in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), b"")
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    fast = _int_columns(data, 2)
+    fast = parse_ints(data)
     assert fast is not None
     assert fast.tolist() == [list(r) for r in rows]
     path = tmp_path_factory.mktemp("parse") / "edits.tsv"
     path.write_bytes(data)
-    assert _scan_int_columns(path, WHAT).tolist() == fast.tolist()
+    assert scan_ints(path).tolist() == fast.tolist()
 
 
 # --- the node table: array parser against the line scan ----------------------
@@ -311,6 +324,20 @@ node_files = st.tuples(
 ).map(lambda t: t[3].join(([b"# first"] if t[0] else []) + t[1] + ([b"# last"] if t[2] else [])) + (t[3] if t[4] else b""))
 
 
+def as_node_table(parsed):
+    values, (titles,) = parsed
+    return NodeTable(values[:, 0], values[:, 1], titles)
+
+
+def parse_nodes(data):
+    parsed = _parse(data, NODE_COLUMNS, True)
+    return None if parsed is None else as_node_table(parsed)
+
+
+def scan_nodes(path):
+    return as_node_table(_scan(path, NODE_COLUMNS, DUPLICATE_NODE))
+
+
 def node_outcome(parse):
     try:
         table = parse()
@@ -325,8 +352,8 @@ def node_outcome(parse):
 def test_node_parser_agrees_with_line_scan(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("parse") / "nodes.tsv"
     path.write_bytes(data)
-    scanned = node_outcome(lambda: _scan_nodes(path))
-    fast = _node_columns(data)
+    scanned = node_outcome(lambda: scan_nodes(path))
+    fast = parse_nodes(data)
     if fast is not None:
         assert node_outcome(lambda: fast) == scanned
     assert node_outcome(lambda: load_nodes(path)) == scanned
@@ -351,12 +378,86 @@ def test_node_parser_takes_well_formed_files(rows, comments, blanks, final_newli
     for at in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), b"")
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    fast = _node_columns(data)
+    fast = parse_nodes(data)
     assert fast is not None
     assert node_outcome(lambda: fast) == ("ok", [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])
     path = tmp_path_factory.mktemp("parse") / "nodes.tsv"
     path.write_bytes(data)
-    assert node_outcome(lambda: _scan_nodes(path)) == node_outcome(lambda: fast)
+    assert node_outcome(lambda: scan_nodes(path)) == node_outcome(lambda: fast)
+
+
+# --- the category names: array parser against the line scan -----------------
+
+name_ids = st.one_of(st.integers(0, 3).map(lambda n: str(n).encode()), id_pieces)  # repeats are common
+name_rows = st.one_of(
+    st.tuples(name_ids, title_pieces).map(b"\t".join),
+    st.tuples(name_ids, title_pieces).map(b"\t".join),
+    st.tuples(name_ids).map(b"\t".join),
+    st.tuples(name_ids, title_pieces, title_pieces).map(b"\t".join),
+)
+name_files = st.tuples(
+    st.lists(st.one_of(name_rows, st.sampled_from([b"", b"# comment", b"#1\tA", b"# \xff", b" "])), max_size=10),
+    st.sampled_from([b"\n", b"\n", b"\n", b"\r\n", b"\r"]),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else b""))
+
+
+def table_outcome(parse):
+    """A parse's columns, or its error with class, line and path."""
+    try:
+        values, texts = parse()
+    except ParseError as err:
+        return ("error", type(err), err.line, err.path, str(err))
+    assert values.dtype.name == "int64" and values.ndim == 2
+    return ("ok", values.tolist(), [list(t) for t in texts])
+
+
+def names_outcome(load):
+    try:
+        return ("ok", list(load().category_names.items()))
+    except ParseError as err:
+        return ("error", type(err), err.line, err.path, str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=name_files)
+def test_names_parser_agrees_with_line_scan(data, tmp_path_factory):
+    d = tmp_path_factory.mktemp("parse")
+    (d / "catnames.tsv").write_bytes(data)
+    (d / "catmap.tsv").write_bytes(b"")
+    scanned = table_outcome(lambda: _scan(d / "catnames.tsv", NAME_COLUMNS, DUPLICATE_CATEGORY))
+    fast = _parse(data, NAME_COLUMNS, True)
+    if fast is not None:
+        assert table_outcome(lambda: fast) == scanned
+    expected = scanned
+    if scanned[0] == "ok":
+        expected = ("ok", [(cat_id, name) for (cat_id,), name in zip(scanned[1], scanned[2][0])])
+    assert names_outcome(lambda: load_category_map(d / "catmap.tsv", d / "catnames.tsv")) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 10**18 - 1), clean_titles), max_size=30, unique_by=lambda r: r[0]),
+    comments=st.lists(st.integers(0, 30), max_size=4),
+    blanks=st.lists(st.integers(0, 30), max_size=4),
+    final_newline=st.booleans(),
+)
+def test_names_parser_takes_well_formed_files(rows, comments, blanks, final_newline, tmp_path_factory):
+    lines = [f"{i}\t{name}".encode() for i, name in rows]
+    for at in sorted(comments, reverse=True):
+        lines.insert(min(at, len(lines)), b"# note\tname")
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), b"")
+    data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+    fast = _parse(data, NAME_COLUMNS, True)
+    assert fast is not None
+    assert table_outcome(lambda: fast) == ("ok", [[i] for i, _ in rows], [[name for _, name in rows]])
+    d = tmp_path_factory.mktemp("parse")
+    (d / "catnames.tsv").write_bytes(data)
+    (d / "catmap.tsv").write_bytes(b"")
+    scanned = table_outcome(lambda: _scan(d / "catnames.tsv", NAME_COLUMNS, DUPLICATE_CATEGORY))
+    assert scanned == table_outcome(lambda: fast)
+    assert load_category_map(d / "catmap.tsv", d / "catnames.tsv").category_names == dict(rows)
 
 
 # --- the category map: sorted distinct columns against a dict of sets ---------
