@@ -1,6 +1,12 @@
 """Structural and contribution metrics for wiki-style article link
 graphs and author edit logs."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules:  # wgm makes no BLAS call: skip OpenBLAS's busy-waiting worker pool
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .degrees import (
     AuthorityQuadrants,
     DegreeHistogram,

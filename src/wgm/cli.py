@@ -5,7 +5,7 @@ cluster, paths, fit, categories, entropy), the synthetic generators
 (synth), and a combined JSON report (report). Every run with a fixed
 config and fixed inputs is byte-reproducible.
 
-Exit codes: 0 success, 2 usage error (an --out that cannot be written
+Exit codes: 0 success, 2 usage error (an --out or a stdout that cannot be written
 included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
@@ -186,17 +187,21 @@ def render(result, fmt: str = "json", columns: Sequence[str] | None = None) -> s
 
 
 def _unwritable(out, err: OSError) -> UsageError:
-    """An --out path that cannot be written is a usage error, not an input one."""
-    return UsageError(f"cannot write --out {out}: {err.strerror or err}")
+    """An --out path or a stdout that cannot be written is a usage error, not an input one."""
+    target = "stdout" if out is None else f"--out {out}"
+    return UsageError(f"cannot write {target}: {err.strerror or err}")
 
 
 def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(out).write_text(text, encoding="utf-8", newline="\n")
     except OSError as err:
+        if out is None:  # what stays buffered now goes nowhere, so shutdown's flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _unwritable(out, err) from None
 
 
@@ -321,7 +326,7 @@ def _cmd_synth(cfg: RunConfig) -> None:
         write_edges(map(tuple, graph.edges().tolist()), outdir / "edges.tsv")
         written = ["nodes.tsv", "edges.tsv"]
 
-    sys.stdout.write(render({"out_dir": str(outdir), "written": written, "seed": cfg.seed}))
+    _write(render({"out_dir": str(outdir), "written": written, "seed": cfg.seed}), None)
 
 
 def _cmd_report(cfg: RunConfig) -> None:

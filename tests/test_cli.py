@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -512,6 +516,27 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and str(out) in err
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    @pytest.mark.parametrize("command", ["paths", "report", "synth"])
+    def test_full_stdout_is_2(self, tmp_path, command, unbuffered):
+        # a fresh process, so interpreter shutdown's own flush of stdout runs too
+        data = Path(__file__).parent / "data"
+        args = ["--nodes", str(data / "nodes.tsv"), "--edges", str(data / "edges.tsv"), "--pairs", "5"]
+        if command == "synth":
+            args = ["--kind", "uniform", "--n", "10", "--out", str(tmp_path)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(data.parent.parent / "src"), env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wgm.cli", command, *args],
+                stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write stdout") and proc.stderr.count("\n") == 1
 
     def test_unreadable_input_is_still_3(self, tmp_path, capsys):
         nodes, _ = write_cycle_fixture(tmp_path)
