@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import degrees as deg
 from . import edits as ed
@@ -50,14 +50,20 @@ MAX_SYNTH = 10_000_000
 # CSV columns of the commands whose export is a table
 DEGREE_COLUMNS = ("degree", "count")
 TRACE_COLUMNS = ("samples", "running_mean")
-CATEGORY_COLUMNS = ("category", "n_edits", "n_authors", "ea_bar", "top20pct_share", "top1_share")
+# each `categories` CSV header and the CategoryStats field under it
+CATEGORY_COLUMNS = {
+    "category": "category", "n_edits": "n_edits", "n_authors": "n_authors", "ea_bar": "ea_bar",
+    "top20pct_share": "top_fraction_share", "top1_share": "top1_share",
+}
 BIN_COLUMNS = ("bin_lower", "bin_upper", "author_count")
 ACTIVE_COLUMNS = ("active_categories", "author_count")
+# the RunConfig fields that `report` echoes in its config block
+REPORT_CONFIG = ("seed", "percentile", "n_samples", "n_pairs", "top_fraction", "x_min", "include_anonymous")
 
 
 @dataclass
 class RunConfig:
-    """Validated parameters for one CLI invocation."""
+    """Validated parameters for one CLI invocation, and the only place a default is written."""
 
     command: str
     nodes: str | None = None
@@ -80,9 +86,9 @@ class RunConfig:
     undirected: bool = False
     histogram: str = "entropy"
     synth_kind: str | None = None
-    n: int = 0
+    n: int = 1000
     m: int = 3
-    p: float = 0.0
+    p: float = 0.01
     n_authors: int = 100
     n_categories: int = 40
     total_edits: int = 10_000
@@ -285,8 +291,7 @@ def _cmd_fit(cfg: RunConfig) -> None:
 
 def _cmd_categories(cfg: RunConfig) -> None:
     rows = _categories(cfg, *_load_edit_log(cfg))
-    keys = ("category", "n_edits", "n_authors", "ea_bar", "top_fraction_share", "top1_share")
-    _emit(cfg, rows, (CATEGORY_COLUMNS, [[row[k] for k in keys] for row in rows]))
+    _emit(cfg, rows, (tuple(CATEGORY_COLUMNS), [[row[k] for k in CATEGORY_COLUMNS.values()] for row in rows]))
 
 
 def _cmd_entropy(cfg: RunConfig) -> None:
@@ -346,17 +351,7 @@ def _cmd_report(cfg: RunConfig) -> None:
         sections["categories"] = lambda: _categories(cfg, log, names)
         sections["entropy"] = lambda: _entropy(cfg, log)
 
-    report: dict[str, object] = {
-        "config": {
-            "seed": cfg.seed,
-            "percentile": cfg.percentile,
-            "n_samples": cfg.n_samples,
-            "n_pairs": cfg.n_pairs,
-            "top_fraction": cfg.top_fraction,
-            "x_min": cfg.x_min,
-            "include_anonymous": cfg.include_anonymous,
-        }
-    }
+    report: dict[str, object] = {"config": {name: getattr(cfg, name) for name in REPORT_CONFIG}}
     for name, section in sections.items():
         # a section that is undefined for this input reports its reason
         # instead of sinking the whole document
@@ -367,30 +362,74 @@ def _cmd_report(cfg: RunConfig) -> None:
     _write(render(report), cfg.out)
 
 
-_COMMANDS = {
-    "degrees": _cmd_degrees,
-    "classify": _cmd_classify,
-    "cluster": _cmd_cluster,
-    "paths": _cmd_paths,
-    "fit": _cmd_fit,
-    "categories": _cmd_categories,
-    "entropy": _cmd_entropy,
-    "synth": _cmd_synth,
-    "report": _cmd_report,
+# each flag once, with its RunConfig field as dest and no default: RunConfig holds every default
+FLAGS = {
+    "--nodes": dict(dest="nodes", help="node table TSV (id, title, namespace)"),
+    "--edges": dict(dest="edges", help="edge list TSV (source_id, target_id)"),
+    "--edits": dict(dest="edits", help="edit log TSV (author_id, article_id)"),
+    "--catmap": dict(dest="catmap", help="article-to-category TSV"),
+    "--catnames": dict(dest="catnames", help="category-name TSV"),
+    "--out": dict(dest="out", help="output path (stdout if omitted)"),
+    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--seed": dict(dest="seed", type=int),
+    "--which": dict(dest="which", choices=deg.SELECTORS),
+    "--percentile": dict(dest="percentile", type=float),
+    "--samples": dict(dest="n_samples", type=int),
+    "--pairs": dict(dest="n_pairs", type=int),
+    "--undirected": dict(dest="undirected", action="store_true", help="use the undirected projection"),
+    "--xmin": dict(dest="x_min", type=int),
+    "--method": dict(dest="method", choices=("ls", "mle")),
+    "--top-fraction": dict(dest="top_fraction", type=float),
+    "--include-anonymous": dict(dest="include_anonymous", action="store_true"),
+    "--bin-width": dict(dest="bin_width", type=float),
+    "--histogram": dict(dest="histogram", choices=("entropy", "active", "max-share"),
+                        help="which histogram the csv format exports (--bin-width sets the entropy one)"),
+    "--kind": dict(dest="synth_kind", choices=("preferential", "uniform", "zipf-edits"), required=True),
+    "--n": dict(dest="n", type=int, help="node count for graph kinds"),
+    "--m": dict(dest="m", type=int, help="edges per new node (preferential)"),
+    "--p": dict(dest="p", type=float, help="edge probability (uniform)"),
+    "--authors": dict(dest="n_authors", type=int),
+    "--categories": dict(dest="n_categories", type=int),
+    "--edits-total": dict(dest="total_edits", type=int),
+    "--zipf-s": dict(dest="zipf_s", type=float),
+    "--home-bias": dict(dest="home_bias", type=float),
 }
 
 
-def _add_io_flags(sub, graph=False, edit=False):
-    if graph:
-        sub.add_argument("--nodes", help="node table TSV (id, title, namespace)")
-        sub.add_argument("--edges", help="edge list TSV (source_id, target_id)")
-    if edit:
-        sub.add_argument("--edits", help="edit log TSV (author_id, article_id)")
-        sub.add_argument("--catmap", help="article-to-category TSV")
-        sub.add_argument("--catnames", help="category-name TSV")
-    sub.add_argument("--out", help="output path (stdout if omitted)")
-    sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
-    sub.add_argument("--seed", type=int, default=42)
+class Command(NamedTuple):
+    run: Callable[[RunConfig], None]
+    help: str
+    flags: tuple[str, ...]
+    bare: tuple[str, ...] = ()  # flags this command lists without their help text
+
+
+GRAPH_FLAGS = ("--nodes", "--edges", "--out", "--format", "--seed")
+EDIT_FLAGS = ("--edits", "--catmap", "--catnames", "--out", "--format", "--seed")
+FIT_FLAGS = ("--which", "--xmin", "--method")
+SHARE_FLAGS = ("--top-fraction", "--include-anonymous")
+SYNTH_FLAGS = ("--n", "--m", "--p", "--authors", "--categories", "--edits-total", "--zipf-s", "--home-bias")
+COMMANDS = {
+    "degrees": Command(_cmd_degrees, "degree summary and histogram export", (*GRAPH_FLAGS, "--which")),
+    "classify": Command(_cmd_classify, "authority quadrant counts", (*GRAPH_FLAGS, "--percentile")),
+    "cluster": Command(_cmd_cluster, "sampled clustering estimate and trace", (*GRAPH_FLAGS, "--samples")),
+    "paths": Command(_cmd_paths, "sampled average shortest path length", (*GRAPH_FLAGS, "--pairs", "--undirected")),
+    "fit": Command(_cmd_fit, "power-law exponent of the degree histogram", (*GRAPH_FLAGS, *FIT_FLAGS)),
+    "categories": Command(_cmd_categories, "per-category contribution statistics", (*EDIT_FLAGS, *SHARE_FLAGS)),
+    "entropy": Command(
+        _cmd_entropy, "author entropy report and activity histograms", (*EDIT_FLAGS, "--bin-width", "--histogram")
+    ),
+    # synth's --out is a required directory, not an optional output path
+    "synth": Command(
+        _cmd_synth, "write synthetic TSV datasets", ("--kind", "--out", "--seed", *SYNTH_FLAGS), bare=("--out",)
+    ),
+    "report": Command(
+        _cmd_report,
+        "all analyses in one JSON document",
+        ("--nodes", "--edges", *EDIT_FLAGS, "--percentile", "--samples", "--pairs", "--undirected", *FIT_FLAGS)
+        + (*SHARE_FLAGS, "--bin-width"),
+        bare=("--undirected",),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -401,91 +440,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wgm", description="Structural and contribution metrics for wiki link graphs."
-    )
+    parser = _Parser(prog="wgm", description="Structural and contribution metrics for wiki link graphs.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("degrees", help="degree summary and histogram export")
-    _add_io_flags(s, graph=True)
-    s.add_argument("--which", choices=deg.SELECTORS, default="total")
-
-    s = subs.add_parser("classify", help="authority quadrant counts")
-    _add_io_flags(s, graph=True)
-    s.add_argument("--percentile", type=float, default=0.90)
-
-    s = subs.add_parser("cluster", help="sampled clustering estimate and trace")
-    _add_io_flags(s, graph=True)
-    s.add_argument("--samples", dest="n_samples", type=int, default=50_000)
-
-    s = subs.add_parser("paths", help="sampled average shortest path length")
-    _add_io_flags(s, graph=True)
-    s.add_argument("--pairs", dest="n_pairs", type=int, default=20_000)
-    s.add_argument("--undirected", action="store_true", help="use the undirected projection")
-
-    s = subs.add_parser("fit", help="power-law exponent of the degree histogram")
-    _add_io_flags(s, graph=True)
-    s.add_argument("--which", choices=deg.SELECTORS, default="total")
-    s.add_argument("--xmin", dest="x_min", type=int, default=1)
-    s.add_argument("--method", choices=("ls", "mle"), default="ls")
-
-    s = subs.add_parser("categories", help="per-category contribution statistics")
-    _add_io_flags(s, edit=True)
-    s.add_argument("--top-fraction", dest="top_fraction", type=float, default=0.2)
-    s.add_argument("--include-anonymous", action="store_true")
-
-    s = subs.add_parser("entropy", help="author entropy report and activity histograms")
-    _add_io_flags(s, edit=True)
-    s.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
-    s.add_argument(
-        "--histogram",
-        choices=("entropy", "active", "max-share"),
-        default="entropy",
-        help="which histogram the csv format exports (--bin-width sets the entropy one)",
-    )
-
-    s = subs.add_parser("synth", help="write synthetic TSV datasets")
-    s.add_argument("--kind", dest="synth_kind", choices=("preferential", "uniform", "zipf-edits"), required=True)
-    s.add_argument("--out", required=False)
-    s.add_argument("--seed", type=int, default=42)
-    s.add_argument("--n", type=int, default=1000, help="node count for graph kinds")
-    s.add_argument("--m", type=int, default=3, help="edges per new node (preferential)")
-    s.add_argument("--p", type=float, default=0.01, help="edge probability (uniform)")
-    s.add_argument("--authors", dest="n_authors", type=int, default=100)
-    s.add_argument("--categories", dest="n_categories", type=int, default=40)
-    s.add_argument("--edits-total", dest="total_edits", type=int, default=10_000)
-    s.add_argument("--zipf-s", dest="zipf_s", type=float, default=1.0)
-    s.add_argument("--home-bias", dest="home_bias", type=float, default=0.8)
-
-    s = subs.add_parser("report", help="all analyses in one JSON document")
-    _add_io_flags(s, graph=True, edit=True)
-    s.add_argument("--percentile", type=float, default=0.90)
-    s.add_argument("--samples", dest="n_samples", type=int, default=50_000)
-    s.add_argument("--pairs", dest="n_pairs", type=int, default=20_000)
-    s.add_argument("--undirected", action="store_true")
-    s.add_argument("--which", choices=deg.SELECTORS, default="total")
-    s.add_argument("--xmin", dest="x_min", type=int, default=1)
-    s.add_argument("--method", choices=("ls", "mle"), default="ls")
-    s.add_argument("--top-fraction", dest="top_fraction", type=float, default=0.2)
-    s.add_argument("--include-anonymous", action="store_true")
-    s.add_argument("--bin-width", dest="bin_width", type=float, default=0.25)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag in command.flags:
+            sub.add_argument(flag, **(dict(FLAGS[flag], help=None) if flag in command.bare else FLAGS[flag]))
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name, value in vars(args).items():
-        if name != "command" and hasattr(cfg, name) and value is not None:
-            setattr(cfg, name, value)
-    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = config_from_args(build_parser().parse_args(argv))
+        cfg = RunConfig(**vars(build_parser().parse_args(argv)))
         cfg.validate()
-        _COMMANDS[cfg.command](cfg)
+        COMMANDS[cfg.command].run(cfg)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except WgmError as err:

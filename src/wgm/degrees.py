@@ -134,6 +134,22 @@ def _fit_points(hist: DegreeHistogram, x_min: int) -> tuple[np.ndarray, np.ndarr
     return k, n
 
 
+def _fit(k: np.ndarray, n: np.ndarray, x_min: int, alpha: float, intercept: float) -> PowerLawFit:
+    """The line log(n_k) = intercept - alpha*log(k) with its count-weighted r_squared."""
+    x, y, w = np.log(k), np.log(n), n
+    ybar = (w * y).sum() / w.sum()
+    ss_res = float((w * (y + alpha * x - intercept) ** 2).sum())
+    ss_tot = float((w * (y - ybar) ** 2).sum())
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return PowerLawFit(
+        alpha=float(alpha),
+        log_prefactor=float(intercept),
+        x_min=int(x_min),
+        r_squared=max(0.0, min(1.0, r_squared)),
+        points_used=int(k.size),
+    )
+
+
 def fit_power_law(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     """Fit log(n_k) = log(C) - alpha*log(k) over k >= x_min.
 
@@ -150,17 +166,7 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     if sxx == 0.0:
         raise InsufficientPoints("degree values are not distinct on the log axis")
     slope = (w * (x - xbar) * (y - ybar)).sum() / sxx
-    intercept = ybar - slope * xbar
-    ss_res = float((w * (y - slope * x - intercept) ** 2).sum())
-    ss_tot = float((w * (y - ybar) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return PowerLawFit(
-        alpha=float(-slope),
-        log_prefactor=float(intercept),
-        x_min=int(x_min),
-        r_squared=max(0.0, min(1.0, r_squared)),
-        points_used=int(k.size),
-    )
+    return _fit(k, n, x_min, -slope, ybar - slope * xbar)
 
 
 def _hurwitz_zeta(s: float, a: float, head: int = 32) -> float:
@@ -205,20 +211,8 @@ def fit_power_law_mle(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
             fd = neg_loglik(d)
     alpha = (a + b) / 2.0
 
-    x, y, w = np.log(k), np.log(n), n
-    wsum = w.sum()
-    intercept = float(((w * y).sum() + alpha * (w * x).sum()) / wsum)
-    ybar = (w * y).sum() / wsum
-    ss_res = float((w * (y + alpha * x - intercept) ** 2).sum())
-    ss_tot = float((w * (y - ybar) ** 2).sum())
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return PowerLawFit(
-        alpha=float(alpha),
-        log_prefactor=intercept,
-        x_min=int(x_min),
-        r_squared=max(0.0, min(1.0, r_squared)),
-        points_used=int(k.size),
-    )
+    intercept = float(((n * np.log(n)).sum() + alpha * sum_log) / total)
+    return _fit(k, n, x_min, alpha, intercept)
 
 
 def top_k_by_degree(graph: ArticleGraph, which: str = "total", k: int = 10) -> list[tuple[int, int]]:

@@ -69,7 +69,6 @@ class EditLog:
     author: np.ndarray
     category: np.ndarray
     count: np.ndarray
-    categories: frozenset[int]
 
     @cached_property
     def resolved(self) -> Mapping[tuple[int, int], int]:
@@ -129,9 +128,8 @@ def resolve_edits(
     """
     if not categories:
         raise EmptyCategorySelection("need at least one selected category")
-    selected = frozenset(categories)
     edits = np.asarray(records if isinstance(records, np.ndarray) else list(records), dtype=np.int64).reshape(-1, 2)
-    cats = np.array(sorted(selected), dtype=np.int64)
+    cats = np.array(sorted(set(categories)), dtype=np.int64)
     # the map's rows in a selected category, still sorted by article
     slot = np.minimum(np.searchsorted(cats, catmap.category), cats.size - 1)
     member = cats[slot] == catmap.category
@@ -150,7 +148,6 @@ def resolve_edits(
         author=authors[keys // cats.size],
         category=cats[keys % cats.size],
         count=count.astype(np.int64),
-        categories=selected,
     )
 
 

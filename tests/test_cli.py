@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MAX_SYNTH, MIN_BIN_WIDTH, RunConfig, main, render
+from wgm.cli import FLAGS, MAX_PAIRS, MAX_SAMPLES, MAX_SYNTH, MIN_BIN_WIDTH, RunConfig, build_parser, main, render
 from wgm.degrees import DegreeHistogram
 from wgm.edits import HISTOGRAM_VALUE_BOUND, MAX_HISTOGRAM_BINS
 from wgm.errors import UsageError
@@ -668,6 +668,41 @@ class TestSeedAndSynthLimits:
             code, _, err = run(capsys, *argv)
             assert code == 2
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+GRAPH_INPUTS = {"nodes": "n.tsv", "edges": "e.tsv"}
+EDIT_INPUTS = {"edits": "l.tsv", "catmap": "m.tsv", "catnames": "c.tsv"}
+
+
+class TestParser:
+    # each command with only the flags it needs to run, as the RunConfig fields they set
+    NEEDED = {
+        **dict.fromkeys(("degrees", "classify", "cluster", "paths", "fit", "report"), GRAPH_INPUTS),
+        **dict.fromkeys(("categories", "entropy"), EDIT_INPUTS),
+        "synth": {"synth_kind": "uniform", "out": "d"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(NEEDED))
+    def test_parser_supplies_no_default(self, command):
+        fields = self.NEEDED[command]
+        argv = [command]
+        for field, value in fields.items():
+            argv += ["--kind" if field == "synth_kind" else f"--{field}", value]
+        assert RunConfig(**vars(build_parser().parse_args(argv))) == RunConfig(command=command, **fields)
+
+    def test_every_flag_sets_a_runconfig_field(self):
+        names = set(RunConfig.__dataclass_fields__)
+        for flag, spec in FLAGS.items():
+            assert spec["dest"] in names and "default" not in spec, flag
+
+    @pytest.mark.parametrize(
+        "kind, sizes", [("preferential", ["--n", "1000"]), ("uniform", ["--n", "1000", "--p", "0.01"])]
+    )
+    def test_synth_defaults_equal_explicit_values(self, tmp_path, capsys, kind, sizes):
+        for out, extra in ((tmp_path / "default", []), (tmp_path / "explicit", sizes)):
+            assert run(capsys, "synth", "--kind", kind, "--out", str(out), *extra)[0] == 0
+        for name in ("nodes.tsv", "edges.tsv"):
+            assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
 
 class TestEncoding:

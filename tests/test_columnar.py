@@ -504,7 +504,7 @@ def test_large_log_matches_dict_reference_to_the_last_bit():
     category = np.tile(np.arange(5), 12_000)
     count = rng.integers(1, 100_000, author.size)
     keep = rng.random(author.size) < 0.8
-    log = EditLog(author[keep], category[keep], count[keep], frozenset(range(5)))
+    log = EditLog(author[keep], category[keep], count[keep])
     ref = dict(zip(zip(author[keep].tolist(), category[keep].tolist()), count[keep].tolist()))
     assert render(entropy_report(log)) == render(ref_entropy_report(ref))
     assert render(category_report(log, 0.2)) == render(ref_category_report(ref, 0.2, False))

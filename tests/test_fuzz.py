@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wgm import cli
 from wgm.cli import MAX_PAIRS, MAX_SAMPLES, MAX_SYNTH, MIN_BIN_WIDTH, main
 
 FILES = ("nodes", "edges", "edits", "catmap", "catnames")
@@ -115,3 +116,12 @@ def test_exit_code_contract(invocation):
     assert code in (0, 2, 3, 4, 5)
     if code:
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_fuzzed_flags_are_every_flag_of_the_cli():
+    # the table above stays hand-written; this keeps a flag added to the CLI
+    # from escaping the fuzzing
+    paths = {"--nodes", "--edges", "--edits", "--catmap", "--catnames", "--out"}
+    assert set(cli.COMMANDS) == set(COMMANDS)
+    for command, spec in cli.COMMANDS.items():
+        assert set(spec.flags) - paths == set(COMMANDS[command]), command
