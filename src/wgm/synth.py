@@ -6,7 +6,8 @@ estimators and fitters are validated against.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from array import array
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,10 +22,26 @@ __all__ = [
     "generate_zipf_edits",
 ]
 
+BLOCK = 1 << 12  # values drawn per call
+
 
 class SyntheticEdits(NamedTuple):
     records: list[EditRecord]
     category_map: CategoryMap
+
+
+def _stream(draw: Callable[[int], np.ndarray], size: int) -> Iterator:
+    """The values of endless `draw(size)` calls: one scalar draw's stream."""
+    while True:
+        yield from draw(size).tolist()
+
+
+def _bounded(draw: Callable[[], int], b: int) -> int:
+    """numpy's scalar `rng.integers(0, b)`, 2 <= b < 2**32, by Lemire's method on 32-bit `draw()`s."""
+    x = draw() * b
+    while x & 0xFFFFFFFF < b and x & 0xFFFFFFFF < (2**32 - b) % b:  # b first skips the modulo
+        x = draw() * b
+    return x >> 32
 
 
 def generate_preferential(n: int, m: int, seed: int) -> ArticleGraph:
@@ -38,60 +55,46 @@ def generate_preferential(n: int, m: int, seed: int) -> ArticleGraph:
     """
     if not 1 <= m < n:
         raise InvalidSpec(f"preferential attachment needs 1 <= m < n, got m={m}, n={n}")
-    rng = np.random.default_rng(seed)
-
-    edges: list[tuple[int, int]] = []
-    endpoints: list[int] = []
-    for u in range(m + 1):
-        for v in range(m + 1):
-            if u != v:
-                edges.append((u, v))
-                endpoints.append(u)
-                endpoints.append(v)
-
+    if m * n >= 2**31:  # keeps every pool size 2*m*u below 2**32, as `_bounded` needs
+        raise InvalidSpec(f"preferential attachment needs m*n < 2**31, got m*n={m * n}")
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    # numpy's 32-bit draws take each raw PCG64 word's low half, then its high half
+    draw = _stream(lambda k: raw(k).astype("<u8", copy=False).view("<u4"), min(BLOCK, m * n // 2 + 1)).__next__
+    edges = np.zeros((m * n, 2), dtype=np.int64)  # node u's m edges start at row m*u
+    edges[: m * (m + 1)] = np.argwhere(~np.eye(m + 1, dtype=bool))
+    edges[m * (m + 1) :, 0] = np.arange(m + 1, n).repeat(m)
+    pool = memoryview(edges).cast("B").cast("q")  # the flattened edges are the endpoint multiset
     for u in range(m + 1, n):
+        b = 2 * m * u  # the pool's size
         targets: set[int] = set()
         while len(targets) < m:
-            t = int(endpoints[rng.integers(0, len(endpoints))])
-            if t != u:
-                targets.add(t)
-        for t in sorted(targets):
-            edges.append((u, t))
-            endpoints.append(u)
-            endpoints.append(t)
-
-    return build_graph(np.array(edges, dtype=np.int64), n)
-
-
-def _pair_from_index(j: int, n: int) -> tuple[int, int]:
-    """j-th ordered pair (u, v), u != v, in lexicographic order."""
-    u, r = divmod(j, n - 1)
-    return u, r + 1 if r >= u else r
+            targets.add(pool[_bounded(draw, b)])
+        pool[b + 1 : b + 2 * m : 2] = array("q", sorted(targets))
+    return build_graph(edges, n)
 
 
 def generate_uniform(n: int, p: float, seed: int) -> ArticleGraph:
     """G(n, p) over ordered pairs: each (u, v), u != v, is an edge
     independently with probability p. Sparse geometric skipping keeps
-    the cost proportional to the edge count.
-    """
+    the cost proportional to the edge count."""
     if not 0.0 <= p <= 1.0:
         raise InvalidSpec(f"uniform random needs 0 <= p <= 1, got p={p}")
     if n < 0:
         raise InvalidSpec(f"need n >= 0, got {n}")
     pair_count = n * (n - 1)
-    edges: list[tuple[int, int]] = []
-    if p >= 1.0:
-        edges = [_pair_from_index(j, n) for j in range(pair_count)]
-    elif p > 0.0 and pair_count > 0:
-        rng = np.random.default_rng(seed)
-        log_q = math.log1p(-p)
-        j = -1
-        while True:
-            j += 1 + int(math.log(1.0 - rng.random()) / log_q)
+    hits = array("q")
+    if 0.0 < p < 1.0 and pair_count > 0:
+        # clamped, no skip overflows to inf; below p = 1e-300 only r == 0 gives an edge either way
+        log_q, j = min(math.log1p(-p), -1e-300), -1
+        for r in _stream(np.random.default_rng(seed).random, min(BLOCK, int(p * pair_count) + 1)):
+            # math.log, not np.log: they can differ by an ulp, which can flip the int()
+            j += 1 + int(math.log(1.0 - r) / log_q)
             if j >= pair_count:
                 break
-            edges.append(_pair_from_index(j, n))
-    return build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n)
+            hits.append(j)
+    j = np.arange(pair_count, dtype=np.int64) if p >= 1.0 else np.frombuffer(hits, dtype=np.int64)
+    u, r = np.divmod(j, max(n - 1, 1))  # pair index j: the j-th ordered pair (u, v), u != v
+    return build_graph(np.stack([u, r + (r >= u)], axis=1), n)
 
 
 def generate_zipf_edits(
@@ -131,8 +134,5 @@ def generate_zipf_edits(
     cats = np.where(stay | (n_categories == 1), h, drift + (drift >= h))
 
     records = list(map(EditRecord, authors.tolist(), cats.tolist()))
-    catmap = CategoryMap(
-        article_to_categories={c: frozenset([c]) for c in range(n_categories)},
-        category_names={c: f"cat{c:02d}" for c in range(n_categories)},
-    )
-    return SyntheticEdits(records=records, category_map=catmap)
+    names = {c: f"cat{c:02d}" for c in range(n_categories)}
+    return SyntheticEdits(records, CategoryMap(category_names=names, pairs=np.arange(n_categories).repeat(2)))

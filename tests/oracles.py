@@ -12,6 +12,9 @@ from collections import deque
 
 import numpy as np
 
+from wgm.errors import InvalidSpec
+from wgm.graph import build_graph
+
 
 def degrees_by_edge_scan(edges, node_count):
     """(indegree, outdegree) per node by scanning the raw edge list."""
@@ -191,3 +194,91 @@ def share_of_top(counts_by_author, head):
     ranked = sorted(counts_by_author.items(), key=lambda kv: (-kv[1], kv[0]))
     total = sum(counts_by_author.values())
     return sum(c for _, c in ranked[:head]) / total
+
+
+# The scalar-draw generators `wgm.synth` used before it drew its randomness
+# in blocks, kept unchanged: one `rng.integers` or `rng.random` call per draw.
+# The block generators must give exactly their edges.
+
+
+def generate_preferential_scalar(n: int, m: int, seed: int):
+    """Directed preferential-attachment graph.
+
+    Starts from a bidirectional clique on m+1 nodes (so n = m+1 is just
+    the clique, and the degree pool is never empty); each later node
+    sends m edges to distinct existing nodes picked with probability
+    proportional to current total degree (uniform position in the
+    edge-endpoint multiset, with rejection to keep targets distinct).
+    """
+    if not 1 <= m < n:
+        raise InvalidSpec(f"preferential attachment needs 1 <= m < n, got m={m}, n={n}")
+    rng = np.random.default_rng(seed)
+
+    edges: list[tuple[int, int]] = []
+    endpoints: list[int] = []
+    for u in range(m + 1):
+        for v in range(m + 1):
+            if u != v:
+                edges.append((u, v))
+                endpoints.append(u)
+                endpoints.append(v)
+
+    for u in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            t = int(endpoints[rng.integers(0, len(endpoints))])
+            if t != u:
+                targets.add(t)
+        for t in sorted(targets):
+            edges.append((u, t))
+            endpoints.append(u)
+            endpoints.append(t)
+
+    return build_graph(np.array(edges, dtype=np.int64), n)
+
+
+def _pair_from_index(j: int, n: int) -> tuple[int, int]:
+    """j-th ordered pair (u, v), u != v, in lexicographic order."""
+    u, r = divmod(j, n - 1)
+    return u, r + 1 if r >= u else r
+
+
+def generate_uniform_scalar(n: int, p: float, seed: int):
+    """G(n, p) over ordered pairs: each (u, v), u != v, is an edge
+    independently with probability p. Sparse geometric skipping keeps
+    the cost proportional to the edge count.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise InvalidSpec(f"uniform random needs 0 <= p <= 1, got p={p}")
+    if n < 0:
+        raise InvalidSpec(f"need n >= 0, got {n}")
+    pair_count = n * (n - 1)
+    edges: list[tuple[int, int]] = []
+    if p >= 1.0:
+        edges = [_pair_from_index(j, n) for j in range(pair_count)]
+    elif p > 0.0 and pair_count > 0:
+        rng = np.random.default_rng(seed)
+        log_q = math.log1p(-p)
+        j = -1
+        while True:
+            j += 1 + int(math.log(1.0 - rng.random()) / log_q)
+            if j >= pair_count:
+                break
+            edges.append(_pair_from_index(j, n))
+    return build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n)
+
+
+def filter_by_dict(records, edges):
+    """`filter_main_namespace` by an id -> new id dict: (kept records, edges),
+    or ("unknown", 1-based edge ordinal, id) for the first unknown endpoint."""
+    row_of = {r.id: i for i, r in enumerate(records)}
+    kept = [r for r in records if r.namespace == 0]
+    new_id = {r.id: i for i, r in enumerate(kept)}
+    out = []
+    for k, (src, dst) in enumerate(edges, start=1):
+        for end in (src, dst):
+            if end not in row_of:
+                return ("unknown", k, end)
+        if src in new_id and dst in new_id:
+            out.append([new_id[src], new_id[dst]])
+    return kept, out

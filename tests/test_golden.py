@@ -128,6 +128,20 @@ SYNTH_GOLDEN = {
         ["--kind", "uniform", "--seed", "1"],
         {"edges.tsv": "4d77137137b22c25707e8bcde61b48f61f00544f055ad3861ad16e60cbc5c74f", "nodes.tsv": SYNTH_NODES},
     ),
+    "preferential-20000-m5": (
+        ["--kind", "preferential", "--n", "20000", "--m", "5"],
+        {
+            "edges.tsv": "8908cf6f00c8fdafa835f7d1a7da28953c627a1cbe3dd9d78ada6794e952de7c",
+            "nodes.tsv": "e46b3a647a9ff47fdade9ca9657a4c08c7c6398e58f88afb9fc6c7c94dc5419c",
+        },
+    ),
+    "uniform-60-dense": (
+        ["--kind", "uniform", "--n", "60", "--p", "0.9"],
+        {
+            "edges.tsv": "60f7deb320f00e50e036eb095c6c9e498a051303d854af66c0abe939a358b300",
+            "nodes.tsv": "467bf1c3290b210350c79c85cd1f7ed645c8f94ffbf0ad8ac023ffa48b8e90af",
+        },
+    ),
     "uniform-7": (
         ["--kind", "uniform", "--seed", "7"],
         {"edges.tsv": "57ce87c236fa4cf5b3c70f2d845d1b808451c5eea628fdc4ad177f46071130b1", "nodes.tsv": SYNTH_NODES},

@@ -8,6 +8,7 @@ from conftest import node_records as table_records
 from conftest import node_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import filter_by_dict
 
 from wgm.degrees import DegreeHistogram, classify_authorities, fit_power_law
 from wgm.edits import (
@@ -30,6 +31,7 @@ from wgm.ingest import (
     write_edit_log,
     write_nodes,
 )
+from wgm.errors import UnknownNodeInEdge
 from wgm.structure import local_clustering
 
 
@@ -191,6 +193,23 @@ def test_edit_log_round_trip(log, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "edits.tsv"
     write_edit_log(log, path)
     assert load_edit_log(path).tolist() == [list(r) for r in log]
+
+
+@given(records=node_records, data=st.data())
+def test_filter_main_namespace_matches_dict_reference(records, data):
+    ids = [r.id for r in records]
+    # mostly known ids, now and then one the table does not hold
+    endpoint = st.sampled_from(ids) | st.integers(0, 10**6) if ids else st.integers(0, 10**6)
+    edges = data.draw(st.lists(st.tuples(endpoint, endpoint), max_size=40))
+    expected = filter_by_dict(records, edges)
+    if expected[0] == "unknown":
+        with pytest.raises(UnknownNodeInEdge) as err:
+            filter_main_namespace(node_table(records), edges)
+        assert (err.value.line, err.value.reason) == (expected[1], f"edge references unknown node id {expected[2]}")
+        return
+    kept, new_edges = filter_main_namespace(node_table(records), edges)
+    assert table_records(kept) == [NodeRecord(i, r.title, 0) for i, r in enumerate(expected[0])]
+    assert new_edges.reshape(-1, 2).tolist() == expected[1]
 
 
 @given(records=node_records, data=st.data())

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts at small sizes, so a change to the
 library API they call cannot break them unnoticed."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +41,16 @@ def test_script_writes_csv(tmp_path, name, argv, files, header):
         lines = (tmp_path / "out" / file).read_text(encoding="utf-8").splitlines()
         assert lines[0] == header
         assert len(lines) > 1
+
+
+def test_make_fixtures_regenerates_the_bundled_data(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    capsys.readouterr()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ["catmap.tsv", "catnames.tsv", "edges.tsv", "edits.tsv", "nodes.tsv"]
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (ROOT / "tests" / "data" / name).read_bytes(), name

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import generate_preferential_scalar, generate_uniform_scalar
 
+from wgm.cli import MAX_SYNTH, main
 from wgm.degrees import degree_histogram, fit_power_law
 from wgm.edits import pareto_share, resolve_edits, top_k_share
 from wgm.errors import InvalidSpec
 from wgm.synth import (
+    _bounded,
+    _stream,
     generate_preferential,
     generate_uniform,
     generate_zipf_edits,
 )
+
+
+def same_graph(a, b):
+    return a.node_count == b.node_count and np.array_equal(a.edges(), b.edges())
 
 
 class TestPreferential:
@@ -83,6 +93,23 @@ class TestUniform:
         with pytest.raises(InvalidSpec):
             generate_uniform(5, 1.1, seed=0)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-310])
+    def test_p_near_zero_gives_no_edges_without_overflow(self, p):
+        # the scalar loop raised OverflowError here: a skip of inf pairs
+        with pytest.raises(OverflowError):
+            generate_uniform_scalar(60, p, seed=1)
+        for seed in range(5):
+            assert generate_uniform(60, p, seed).edge_count == 0
+
+    def test_p_at_the_clamp_matches_the_scalar_loop(self):
+        for seed in range(5):
+            assert same_graph(generate_uniform(60, 1e-300, seed), generate_uniform_scalar(60, 1e-300, seed))
+
+    def test_cli_p_near_zero_exits_0(self, tmp_path, capsys):
+        assert main(["synth", "--kind", "uniform", "--n", "2", "--p", "1e-310", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "edges.tsv").read_bytes() == b""
+
 
 class TestZipfEdits:
     def test_single_author_has_full_share(self):
@@ -140,3 +167,91 @@ def test_uniform_histogram_is_light_tailed_vs_preferential():
     fit_pref = fit_power_law(degree_histogram(pref, "total"), x_min=3)
     fit_unif = fit_power_law(degree_histogram(unif, "total"), x_min=3)
     assert fit_pref.r_squared > fit_unif.r_squared
+
+
+class TestScalarDrawOracle:
+    """The block generators give exactly the edges of the one-draw-per-call
+    loops they replaced (`tests/oracles.py`)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("size", ["m+1", "m+2", 50, 1000, 20000])
+    def test_preferential_grid(self, m, size):
+        n = {"m+1": m + 1, "m+2": m + 2}.get(size, size)
+        for seed in (0, 1, 2**32 + 5):
+            assert same_graph(generate_preferential(n, m, seed), generate_preferential_scalar(n, m, seed))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 0.01, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 60, 400])
+    def test_uniform_grid(self, n, p):
+        for seed in (0, 1, 7):
+            assert same_graph(generate_uniform(n, p, seed), generate_uniform_scalar(n, p, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 300), seed=st.integers(0, 2**64 - 1))
+    def test_preferential_small_specs(self, data, n, seed):
+        m = data.draw(st.integers(1, min(n - 1, 12)))
+        assert same_graph(generate_preferential(n, m, seed), generate_preferential_scalar(n, m, seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 80), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1))
+    def test_uniform_small_specs(self, n, p, seed):
+        try:
+            expected = generate_uniform_scalar(n, p, seed)
+        except OverflowError:  # the scalar loop's skip overflowed to inf
+            assert p < 1e-300  # where only a draw of exactly 0.0 gives an edge
+            assert generate_uniform(n, p, seed).edge_count == 0
+            return
+        assert same_graph(generate_uniform(n, p, seed), expected)
+
+
+def halves(rng, size):
+    """rng's 32-bit outputs as numpy's scalar draws take them: each raw
+    64-bit word's low half, then its high half."""
+    return _stream(lambda k: rng.bit_generator.random_raw(k).astype("<u8").view("<u4"), size)
+
+
+class TestBlockDraws:
+    """The premises of the block generators, checked against numpy itself."""
+
+    # 2**31 + 1 rejects about half its 32-bit draws; the generators' own
+    # bounds (at most 2*m*n) almost never reach the rejection branch
+    @pytest.mark.parametrize("b", [2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+    def test_bounded_is_one_integers_call(self, b):
+        ours, numpy_rng = np.random.default_rng(11), np.random.default_rng(11)
+        stream = halves(ours, 97)
+        used = 0
+
+        def draw():
+            nonlocal used
+            used += 1
+            return next(stream)
+
+        got = [_bounded(draw, b) for _ in range(3000)]
+        assert got == [int(numpy_rng.integers(0, b)) for _ in range(3000)]
+        if b == 2**31 + 1:
+            assert used > 5000  # the rejection branch ran about 3000 times
+        # both sides consumed the same outputs: the next draws agree too
+        assert next(stream) == int(numpy_rng.integers(0, 2**32 - 1, endpoint=True))
+
+    def test_block_uniforms_equal_scalar_calls(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert a.random(1000).tolist() == [b.random() for _ in range(1000)]
+        stream = _stream(a.random, 7)
+        assert [next(stream) for _ in range(50)] == [b.random() for _ in range(50)]
+
+
+class TestRangeGuard:
+    """`_bounded` holds for pool sizes below 2**32 only, so m*n < 2**31."""
+
+    @pytest.mark.parametrize("n, m", [(2**30, 2), (2**28 + 1, 8), (10**7, 215)])
+    def test_preferential_rejects_m_times_n_at_or_past_2_31(self, n, m):
+        with pytest.raises(InvalidSpec, match="m\\*n < 2\\*\\*31"):
+            generate_preferential(n, m, seed=0)
+
+    def test_cli_edge_cap_is_far_below_the_guard(self, tmp_path, capsys):
+        assert MAX_SYNTH < 2**31 // 100
+        # n within the node cap, m*n past the guard: the edge cap answers first
+        argv = ["synth", "--kind", "preferential", "--n", str(10**7), "--m", "215", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "the edge count to generate must be <= 10000000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
