@@ -12,11 +12,12 @@ included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
 from __future__ import annotations
 
 import argparse
-import json
-import math
+import functools
+import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -46,6 +47,8 @@ MAX_SAMPLES = 10_000_000
 MIN_BIN_WIDTH = ed.HISTOGRAM_VALUE_BOUND / ed.MAX_HISTOGRAM_BINS
 # `synth` sizes: nodes, authors, categories, edits and the expected edge count
 MAX_SYNTH = 10_000_000
+# edge rows `synth` turns into Python ints at a time, so that no list of every edge is built
+SYNTH_BLOCK = 65_536
 
 # CSV columns of the commands whose export is a table
 DEGREE_COLUMNS = ("degree", "count")
@@ -154,38 +157,84 @@ def _load_edit_log(cfg: RunConfig) -> tuple[ed.EditLog, dict[int, str]]:
     return log, catmap.category_names
 
 
+@functools.cache
+def _names(cls: type) -> tuple[str, ...] | None:
+    """A dataclass type's field and property names, or None for any other type."""
+    if not is_dataclass(cls):
+        return None
+    props = (name for name, attr in vars(cls).items() if isinstance(attr, property))
+    return (*(f.name for f in fields(cls)), *props)
+
+
 def _plain(value):
     """The JSON form of a result.
 
     A dataclass becomes its fields and properties by name, an int-keyed
     dict its ascending [key, value] rows, a tuple a list, and NaN null.
+    A subclass of float, int, str, list, tuple or dict (np.float64, say)
+    is made plain as its base type.
     """
-    if isinstance(value, float):
-        return None if math.isnan(value) else value
-    if isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind is float:
+        return None if value != value else value
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is list or kind is tuple:
         return [_plain(item) for item in value]
-    if isinstance(value, dict):
+    if kind is dict:
         if all(isinstance(key, int) for key in value):
-            return [[key, _plain(value[key])] for key in sorted(value)]
+            return [[_plain(key), _plain(value[key])] for key in sorted(value)]
         return {key: _plain(item) for key, item in value.items()}
-    if is_dataclass(value):
-        names = [f.name for f in fields(value)]
-        names += [name for name, attr in vars(type(value)).items() if isinstance(attr, property)]
+    names = _names(kind)
+    if names is not None:
         return {name: _plain(getattr(value, name)) for name in names}
+    for base in (float, int, str, list, tuple, dict):
+        if isinstance(value, base):
+            return _plain(base(value))
     return value
+
+
+# the two floats whose repr is not JSON (NaN is already null in the plain form)
+_INFINITE = {"inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """A plain value as `json.dumps(value, sort_keys=True, indent=2)` writes
+    it, where `pad` is the newline and indent of its own nesting level."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is float:
+        text = repr(value)
+        return _INFINITE.get(text, text)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    deeper = pad + "  "
+    if kind is list:
+        items = [_json(item, deeper) for item in value]
+        return "[" + deeper + ("," + deeper).join(items) + pad + "]" if items else "[]"
+    if kind is dict:
+        items = [encode_basestring_ascii(key) + ": " + _json(value[key], deeper) for key in sorted(value)]
+        return "{" + deeper + ("," + deeper).join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"{kind.__name__} is not a plain value")
 
 
 def render(result, fmt: str = "json", columns: Sequence[str] | None = None) -> str:
     """The one serializer of every command and script.
 
-    JSON is the plain form of `result`. CSV is the rows of `result`
+    JSON is the plain form of `result`, written as `json.dumps(...,
+    sort_keys=True, indent=2)` would write it. CSV is the rows of `result`
     under `columns`, or without them the flat record `result` as sorted
     `key,value` rows. CSV floats are written with repr, and None and NaN
     as an empty cell.
     """
     plain = _plain(result)
     if fmt == "json":
-        return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+        return _json(plain) + "\n"
     rows = plain if columns is not None else sorted(plain.items())
     lines = [columns or ("key", "value"), *rows]
     cells = ([repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in row] for row in lines)
@@ -328,7 +377,9 @@ def _cmd_synth(cfg: RunConfig) -> None:
         write_nodes(
             (NodeRecord(i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv"
         )
-        write_edges(map(tuple, graph.edges().tolist()), outdir / "edges.tsv")
+        edges = graph.edges()
+        blocks = (edges[i : i + SYNTH_BLOCK].tolist() for i in range(0, len(edges), SYNTH_BLOCK))
+        write_edges(itertools.chain.from_iterable(blocks), outdir / "edges.tsv")
         written = ["nodes.tsv", "edges.tsv"]
 
     _write(render({"out_dir": str(outdir), "written": written, "seed": cfg.seed}), None)

@@ -134,9 +134,15 @@ def _fit_points(hist: DegreeHistogram, x_min: int) -> tuple[np.ndarray, np.ndarr
     return k, n
 
 
+def _log(values: np.ndarray) -> np.ndarray:
+    """The natural log of each value by `math.log`: numpy's SIMD log rounds
+    differently from libm on some CPUs (AVX-512 on x86, first at 9,170)."""
+    return np.array([math.log(v) for v in values.tolist()])
+
+
 def _fit(k: np.ndarray, n: np.ndarray, x_min: int, alpha: float, intercept: float) -> PowerLawFit:
     """The line log(n_k) = intercept - alpha*log(k) with its count-weighted r_squared."""
-    x, y, w = np.log(k), np.log(n), n
+    x, y, w = _log(k), _log(n), n
     ybar = (w * y).sum() / w.sum()
     ss_res = float((w * (y + alpha * x - intercept) ** 2).sum())
     ss_tot = float((w * (y - ybar) ** 2).sum())
@@ -158,7 +164,7 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     one-node bins swamps the slope.
     """
     k, n = _fit_points(hist, x_min)
-    x, y, w = np.log(k), np.log(n), n
+    x, y, w = _log(k), _log(n), n
     wsum = w.sum()
     xbar = (w * x).sum() / wsum
     ybar = (w * y).sum() / wsum
@@ -190,7 +196,7 @@ def fit_power_law_mle(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     """
     k, n = _fit_points(hist, x_min)
     total = float(n.sum())
-    sum_log = float((n * np.log(k)).sum())
+    sum_log = float((n * _log(k)).sum())
 
     def neg_loglik(alpha: float) -> float:
         return alpha * sum_log + total * math.log(_hurwitz_zeta(alpha, float(x_min)))
@@ -211,7 +217,7 @@ def fit_power_law_mle(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
             fd = neg_loglik(d)
     alpha = (a + b) / 2.0
 
-    intercept = float(((n * np.log(n)).sum() + alpha * sum_log) / total)
+    intercept = float(((n * _log(n)).sum() + alpha * sum_log) / total)
     return _fit(k, n, x_min, alpha, intercept)
 
 

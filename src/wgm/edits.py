@@ -55,6 +55,7 @@ ANONYMOUS_AUTHOR = 0
 # category count, so below 64); the bin count is capped
 HISTOGRAM_VALUE_BOUND = 64.0
 MAX_HISTOGRAM_BINS = 1_000_000
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +125,10 @@ def resolve_edits(
 ) -> EditLog:
     """Attribute raw (author_id, article_id) edits to the selected categories.
 
-    Edits to articles outside every selected category are dropped.
+    Edits to articles outside every selected category are dropped. The
+    edits are sorted once as `author*span + article` keys, span being the
+    largest article id + 1, so that each run of equal keys is one distinct
+    (author, article) pair and its edit count, resolved once.
     """
     if not categories:
         raise EmptyCategorySelection("need at least one selected category")
@@ -134,20 +138,33 @@ def resolve_edits(
     slot = np.minimum(np.searchsorted(cats, catmap.category), cats.size - 1)
     member = cats[slot] == catmap.category
     member_article, member_category = catmap.article[member], slot[member]
-    # one row per (edit, selected category of its article), located per distinct article
-    articles, article_of_edit = np.unique(edits[:, 1], return_inverse=True)
-    lo = np.searchsorted(member_article, articles, side="left")
-    width = np.searchsorted(member_article, articles, side="right") - lo
-    lo, width = lo[article_of_edit.reshape(-1)], width[article_of_edit.reshape(-1)]
+    author, article = edits[:, 0], edits[:, 1]
+    span = int(article.max(initial=0)) + 1
+    wide = edits.min(initial=0) < 0 or int(author.max(initial=0)) * span + span - 1 > INT64_MAX
+    if wide:  # negative ids, or ids too large for one int64 key: both columns are keyed by rank
+        (author_ids, author), (article_ids, article) = (np.unique(c, return_inverse=True) for c in (author, article))
+        span = article_ids.size
+    keys = np.sort(author * span + article)
+    starts = _run_starts(keys)
+    weight = np.diff(starts, append=keys.size)
+    author, article = np.divmod(keys[starts], span)
+    if wide:
+        author, article = author_ids[author], article_ids[article]
+    # one row per (pair, selected category of its article)
+    lo = np.searchsorted(member_article, article, side="left")
+    width = np.searchsorted(member_article, article, side="right") - lo
     first = np.cumsum(width) - width
     member_row = np.arange(int(width.sum())) - np.repeat(first - lo, width)
-    authors, author_index = np.unique(np.repeat(edits[:, 0], width), return_inverse=True)
-    # dense (author, category) keys sort author-major
-    keys, count = np.unique(author_index.reshape(-1) * cats.size + member_category[member_row], return_counts=True)
+    # the pairs run author-major, so an author's rank counts the author changes before it
+    rank = np.cumsum(author != np.concatenate([author[:1], author[:-1]]))
+    pair = np.repeat(rank * cats.size, width) + member_category[member_row]
+    order = np.argsort(pair, kind="stable")
+    pair, author = pair[order], np.repeat(author, width)[order]
+    starts = _run_starts(pair)
     return EditLog(
-        author=authors[keys // cats.size],
-        category=cats[keys % cats.size],
-        count=count.astype(np.int64),
+        author=author[starts],
+        category=cats[pair[starts] % cats.size],
+        count=np.add.reduceat(np.repeat(weight, width)[order], starts),
     )
 
 

@@ -7,12 +7,16 @@ set scans, O(n^3) triple loops, dense matrix algebra, Floyd-Warshall.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from wgm.errors import InvalidSpec
+from wgm.degrees import _hurwitz_zeta
+from wgm.edits import EditLog
+from wgm.errors import EmptyCategorySelection, InvalidSpec
 from wgm.graph import build_graph
 
 
@@ -160,6 +164,49 @@ def fit_loglog_polyfit(entries, x_min):
     return -slope, intercept
 
 
+def power_law_fit_math(entries, x_min=1, mle=False):
+    """(alpha, log_prefactor, r_squared) of `fit_power_law`, or with `mle`
+    of `fit_power_law_mle`, in Python floats with `math.log` (the zeta
+    normalization is wgm's own, which uses no numpy). Its sums run left to
+    right, which equals numpy's sums of two points only."""
+    points = sorted((k, c) for k, c in entries.items() if k >= x_min and c > 0)
+    n = [float(c) for _, c in points]
+    x = [math.log(k) for k, _ in points]
+    y = [math.log(c) for c in n]
+    total = sum(n)
+    ybar = sum(c * yi for c, yi in zip(n, y)) / total
+    if mle:
+        sum_log = sum(c * xi for c, xi in zip(n, x))
+
+        def cost(a):
+            return a * sum_log + total * math.log(_hurwitz_zeta(a, float(x_min)))
+
+        lo, hi = 1.0 + 1e-9, 25.0
+        step = (math.sqrt(5.0) - 1.0) / 2.0
+        u, v = hi - step * (hi - lo), lo + step * (hi - lo)
+        fu, fv = cost(u), cost(v)
+        while hi - lo > 1e-10:
+            if fu < fv:
+                hi, v, fv = v, u, fu
+                u = hi - step * (hi - lo)
+                fu = cost(u)
+            else:
+                lo, u, fu = u, v, fv
+                v = lo + step * (hi - lo)
+                fv = cost(v)
+        alpha = (lo + hi) / 2.0
+        intercept = (sum(c * yi for c, yi in zip(n, y)) + alpha * sum_log) / total
+    else:
+        xbar = sum(c * xi for c, xi in zip(n, x)) / total
+        sxx = sum(c * ((xi - xbar) * (xi - xbar)) for c, xi in zip(n, x))
+        slope = sum(c * (xi - xbar) * (yi - ybar) for c, xi, yi in zip(n, x, y)) / sxx
+        alpha, intercept = -slope, ybar - slope * xbar
+    ss_res = sum(c * ((yi + alpha * xi - intercept) * (yi + alpha * xi - intercept)) for c, xi, yi in zip(n, x, y))
+    ss_tot = sum(c * ((yi - ybar) * (yi - ybar)) for c, yi in zip(n, y))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return alpha, intercept, max(0.0, min(1.0, r_squared))
+
+
 def powerlaw_inverse_cdf_draws(alpha, size, seed, k_max=10**6):
     """i.i.d. draws from P(k) proportional to k^-alpha, k >= 1."""
     ks = np.arange(1, k_max + 1, dtype=float)
@@ -282,3 +329,64 @@ def filter_by_dict(records, edges):
         if src in new_id and dst in new_id:
             out.append([new_id[src], new_id[dst]])
     return kept, out
+
+
+# The serializer and the edit resolver `wgm` used before its own JSON encoder
+# and one-sort resolution, kept unchanged: `render_json` is `render`'s JSON
+# bytes by `json.dumps`, and `resolve_edits_unique` groups with three
+# `np.unique` calls. The new code must give exactly their output.
+
+
+def plain_reference(value):
+    """The JSON form of a result.
+
+    A dataclass becomes its fields and properties by name, an int-keyed
+    dict its ascending [key, value] rows, a tuple a list, and NaN null.
+    """
+    if isinstance(value, float):
+        return None if math.isnan(value) else value
+    if isinstance(value, (list, tuple)):
+        return [plain_reference(item) for item in value]
+    if isinstance(value, dict):
+        if all(isinstance(key, int) for key in value):
+            return [[key, plain_reference(value[key])] for key in sorted(value)]
+        return {key: plain_reference(item) for key, item in value.items()}
+    if is_dataclass(value):
+        names = [f.name for f in fields(value)]
+        names += [name for name, attr in vars(type(value)).items() if isinstance(attr, property)]
+        return {name: plain_reference(getattr(value, name)) for name in names}
+    return value
+
+
+def render_json(result):
+    return json.dumps(plain_reference(result), sort_keys=True, indent=2) + "\n"
+
+
+def resolve_edits_unique(records, catmap, categories):
+    """Attribute raw (author_id, article_id) edits to the selected categories.
+
+    Edits to articles outside every selected category are dropped.
+    """
+    if not categories:
+        raise EmptyCategorySelection("need at least one selected category")
+    edits = np.asarray(records if isinstance(records, np.ndarray) else list(records), dtype=np.int64).reshape(-1, 2)
+    cats = np.array(sorted(set(categories)), dtype=np.int64)
+    # the map's rows in a selected category, still sorted by article
+    slot = np.minimum(np.searchsorted(cats, catmap.category), cats.size - 1)
+    member = cats[slot] == catmap.category
+    member_article, member_category = catmap.article[member], slot[member]
+    # one row per (edit, selected category of its article), located per distinct article
+    articles, article_of_edit = np.unique(edits[:, 1], return_inverse=True)
+    lo = np.searchsorted(member_article, articles, side="left")
+    width = np.searchsorted(member_article, articles, side="right") - lo
+    lo, width = lo[article_of_edit.reshape(-1)], width[article_of_edit.reshape(-1)]
+    first = np.cumsum(width) - width
+    member_row = np.arange(int(width.sum())) - np.repeat(first - lo, width)
+    authors, author_index = np.unique(np.repeat(edits[:, 0], width), return_inverse=True)
+    # dense (author, category) keys sort author-major
+    keys, count = np.unique(author_index.reshape(-1) * cats.size + member_category[member_row], return_counts=True)
+    return EditLog(
+        author=authors[keys // cats.size],
+        category=cats[keys % cats.size],
+        count=count.astype(np.int64),
+    )

@@ -1,16 +1,23 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgm.cli import FLAGS, MAX_PAIRS, MAX_SAMPLES, MAX_SYNTH, MIN_BIN_WIDTH, RunConfig, build_parser, main, render
 from wgm.degrees import DegreeHistogram
 from wgm.edits import HISTOGRAM_VALUE_BOUND, MAX_HISTOGRAM_BINS
 from wgm.errors import UsageError
 from wgm.structure import PathSampleResult
+
+from oracles import render_json
 
 
 def run(capsys, *argv):
@@ -36,7 +43,53 @@ def write_edit_fixture(tmp_path):
     )
 
 
+@dataclass(frozen=True)
+class Cell:
+    name: str
+    value: object
+
+    @property
+    def pair(self):
+        return (self.name, self.value)
+
+
+@dataclass(frozen=True)
+class Nothing:
+    """A dataclass with no fields, whose plain form is the one empty JSON object."""
+
+
+# floats where repr changes notation (1e16, 1e-5), the smallest subnormal,
+# -0.0 and the non-finite values, besides arbitrary ones
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, math.inf, -math.inf, math.nan])
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600ab ') | st.characters(), max_size=6)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64))
+    | FLOATS
+    | FLOATS.map(np.float64)
+    | TEXT
+    | st.builds(Nothing)
+)
+PLAIN_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3) | st.integers() | st.booleans(), inner, max_size=4)
+    | st.builds(Cell, TEXT, inner),
+    max_leaves=24,
+)
+
+
 class TestRender:
+    @settings(max_examples=600, deadline=None)
+    @given(value=PLAIN_VALUES)
+    def test_json_equals_json_dumps_of_the_reference_plain_form(self, value):
+        assert render(value) == render_json(value)
+
     def test_json_keeps_properties_and_rows(self):
         hist = DegreeHistogram(entries={3: 1, 0: 2}, which="in")
         assert json.loads(render(hist)) == {"entries": [[0, 2], [3, 1]], "which": "in", "zero_count": 2}

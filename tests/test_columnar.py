@@ -127,8 +127,8 @@ def ref_active(resolved):
 
 
 def assert_plain_numbers(value):
-    """Every number is a Python int or float: a numpy scalar would reach the
-    CSV through repr as `np.float64(0.5)`, and json.dumps rejects np.int64."""
+    """Every number is a Python int or float: `render` rejects np.int64,
+    which is no int subclass, and a result holds no numpy scalar."""
     if isinstance(value, (list, tuple)):
         for item in value:
             assert_plain_numbers(item)

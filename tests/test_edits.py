@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wgm.cli import ACTIVE_COLUMNS, BIN_COLUMNS, main, render
 from wgm.edits import (
@@ -32,7 +35,7 @@ from wgm.errors import (
 from wgm.ingest import CategoryMap, EditRecord
 from wgm.synth import generate_zipf_edits
 
-from oracles import entropy_direct, resolve_double_loop, share_of_top
+from oracles import entropy_direct, resolve_double_loop, resolve_edits_unique, share_of_top
 
 
 def make_log(pairs, article_cats=None, categories=None):
@@ -72,6 +75,60 @@ class TestResolveEdits:
         with pytest.raises(EmptyCategorySelection):
             make_log([(1, 10)], categories=set())
 
+
+INT64_MAX = 2**63 - 1
+
+
+@st.composite
+def id_logs(draw):
+    """(records, catmap, selected) over small, huge or negative ids, so that
+    the one-sort keys take both sides of their overflow branch."""
+    ids = draw(st.sampled_from([st.integers(0, 40), st.integers(0, INT64_MAX), st.integers(-(2**63), INT64_MAX)]))
+    authors = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    articles = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    cats = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    records = draw(st.lists(st.tuples(st.sampled_from(authors), st.sampled_from(articles)), max_size=60))
+    membership = draw(
+        st.dictionaries(
+            st.sampled_from(articles) | ids, st.frozensets(st.sampled_from(cats), min_size=1, max_size=4), max_size=8
+        )
+    )
+    catmap = CategoryMap(article_to_categories=membership, category_names={c: f"c{c}" for c in cats})
+    selected = draw(st.frozensets(st.sampled_from(cats) | ids, min_size=1, max_size=4))
+    return records, catmap, selected
+
+
+def assert_same_log(got, want):
+    for name in ("author", "category", "count"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestOneSortResolution:
+    """`resolve_edits` against the three-`np.unique` resolver it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(log=id_logs())
+    def test_equals_unique_reference(self, log):
+        assert_same_log(resolve_edits(*log), resolve_edits_unique(*log))
+
+    @pytest.mark.parametrize("author, wide", [(2**31 - 1, False), (2**31, True)])
+    def test_overflow_branch_starts_past_int64_max(self, monkeypatch, author, wide):
+        """With span 2**32, author 2**31 - 1 gives the largest key 2**63 - 1
+        exactly; author 2**31 would pass it, and both columns are ranked."""
+        catmap = CategoryMap(article_to_categories={5: frozenset([1]), 2**32 - 1: frozenset([1, 2])}, category_names={})
+        records = [(author, 2**32 - 1), (3, 5), (author, 5), (author, 2**32 - 1), (0, 7)]
+        want = resolve_edits_unique(records, catmap, {1, 2})
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        assert_same_log(resolve_edits(records, catmap, {1, 2}), want)
+        assert len(calls) == (2 if wide else 0)
+        assert want.resolved == {(3, 1): 1, (author, 1): 3, (author, 2): 2}
+
+    def test_no_edits(self):
+        catmap = CategoryMap(article_to_categories={5: frozenset([1])}, category_names={1: "c1"})
+        assert_same_log(resolve_edits([], catmap, {1}), resolve_edits_unique([], catmap, {1}))
 
 class TestEditsPerAuthor:
     def test_reference_arithmetic(self):
