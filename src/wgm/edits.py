@@ -28,7 +28,7 @@ from .errors import (
     InvalidFraction,
 )
 from .graph import _run_starts
-from .ingest import CategoryMap
+from .ingest import INT64_MAX, CategoryMap
 
 __all__ = [
     "EditLog",
@@ -55,7 +55,6 @@ ANONYMOUS_AUTHOR = 0
 # category count, so below 64); the bin count is capped
 HISTOGRAM_VALUE_BOUND = 64.0
 MAX_HISTOGRAM_BINS = 1_000_000
-INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,24 +2,25 @@
 category maps, plus the main-namespace filter.
 
 All files are UTF-8, one record per line, fields separated by single
-tabs. Lines starting with '#' and blank lines are skipped. Every parse
-failure carries its 1-based physical line number.
+tabs; a line ends at LF, CRLF or a lone CR. Lines starting with '#' and
+blank lines are skipped. Every parse failure carries its 1-based
+physical line number.
 
-Every file is read whole and parsed in numpy by one array parser, driven
-by the file's column table (`NODE_COLUMNS` and the like): the numeric
-columns into an `(n, m)` int64 array, each text column kept as byte
-ranges of the file, decoded only when read. Bytes the parser does not
-expect send the file through the one line scan instead, which parses the
-same records or names the offending line.
+Every file is read whole and parsed in numpy by one parser, driven by the
+file's column table (`NODE_COLUMNS` and the like): the numeric columns
+into an `(n, m)` int64 array, each text column kept as byte ranges of the
+file, decoded only when read. Only the rows numpy cannot decode (a sign
+in an id, a token of 19 or more digits, a bad row) go through the table's
+field parsers, one row at a time, which parse them or name the line.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -76,13 +77,6 @@ class Titles(Sequence):
 
     def __init__(self, data: np.ndarray, start: np.ndarray, stop: np.ndarray):
         self._data, self._start, self._stop = data, start, stop
-
-    @classmethod
-    def from_strings(cls, titles: Sequence[str]) -> Titles:
-        encoded = [title.encode("utf-8") for title in titles]
-        lengths = np.array([len(b) for b in encoded], dtype=np.int64)
-        stop = np.cumsum(lengths)
-        return cls(np.frombuffer(b"".join(encoded), dtype=np.uint8), stop - lengths, stop)
 
     def __len__(self) -> int:
         return len(self._start)
@@ -146,20 +140,6 @@ class CategoryMap:
         return frozenset(self.category_names)
 
 
-def _data_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line), skipping comments and blanks. Lines
-    end at LF, CR or CRLF; bytes that are not UTF-8 raise ParseError at their line."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ParseError(lineno, f"invalid UTF-8 at byte {err.start} of the line", str(path)) from None
-        if line and not line.startswith("#"):
-            yield lineno, line
-
-
 def _signed(value: str, what: str, lineno: int, path) -> int:
     """The int64 that the ASCII decimal `-?[0-9]+` in `value` spells; anything
     else, such as `1_0`, `+5`, padding, non-ASCII digits or a value outside
@@ -177,25 +157,20 @@ def _signed(value: str, what: str, lineno: int, path) -> int:
 
 
 def _unsigned(value: str, what: str, lineno: int, path) -> int:
-    if len(value) <= FAST_DIGITS and value.isdigit() and value.isascii():  # the common case, without a call
-        return int(value)
     n = _signed(value, what, lineno, path)
     if n < 0:
         raise ParseError(lineno, f"negative {what}: {n}", str(path))
     return n
 
 
-def _text(value: str, what: str, lineno: int, path) -> str:
-    return value
-
-
-# each file's columns: (name in error messages, field parser of the line scan)
-Columns = tuple[tuple[str, Callable[[str, str, int, object], object]], ...]
-NODE_COLUMNS: Columns = (("id", _unsigned), ("title", _text), ("namespace", _signed))
+# each file's columns: (name in error messages, parser of a numeric field numpy
+# cannot decode, None for a text column)
+Columns = tuple[tuple[str, Callable[[str, str, int, object], int] | None], ...]
+NODE_COLUMNS: Columns = (("id", _unsigned), ("title", None), ("namespace", _signed))
 EDGE_COLUMNS: Columns = (("source id", _unsigned), ("target id", _unsigned))
 EDIT_COLUMNS: Columns = (("author id", _unsigned), ("article id", _unsigned))
 MAP_COLUMNS: Columns = (("article id", _unsigned), ("category id", _unsigned))
-NAME_COLUMNS: Columns = (("category id", _unsigned), ("name", _text))
+NAME_COLUMNS: Columns = (("category id", _unsigned), ("name", None))
 # the error and message of a repeated first column, in the files that forbid one
 Duplicate = tuple[type[ParseError], str]
 DUPLICATE_NODE: Duplicate = (DuplicateNodeId, "node id {} already defined on line {}")
@@ -218,98 +193,124 @@ def _rows(data: bytes) -> np.ndarray:
     return buf[~blank] if blank.any() else buf
 
 
-def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
+def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, fits=None) -> np.ndarray | None:
     """The int64 values of the decimal fields of `widths` bytes that end
-    before `ends`; None if a field is empty, wider than FAST_DIGITS or
-    holds a byte that is not a digit."""
-    if ends.size and not 1 <= widths.min() <= widths.max() <= FAST_DIGITS:
+    before `ends`; None if a field is not 1 to FAST_DIGITS digits, unless
+    the mask `fits` is given, which has the empty and the wide fields
+    cleared: then such fields read garbage and are cleared in `fits`."""
+    if fits is None and ends.size and not 1 <= widths.min() <= widths.max() <= FAST_DIGITS:
         return None
     values = np.zeros(ends.shape, dtype=np.int64)
-    for place in range(int(widths.max()) if ends.size else 0):
+    for place in range(min(int(widths.max()), FAST_DIGITS) if ends.size else 0):
         # the byte `place + 1` before each field's end; fields narrower than
         # that read another field's byte (or wrap around), masked to 0.
         # uint8 wraps, so every byte but a digit reads above 9
         digit = (buf[ends - (place + 1)] - np.uint8(ord("0"))) * (widths > place)
-        if digit.max() > 9:
+        if fits is not None:
+            fits &= digit <= 9
+        elif digit.max() > 9:
             return None
         values += digit.astype(np.int64) * 10**place
     return values
 
 
-def _parse(data: bytes, columns: Columns, unique: bool) -> Parsed | None:
-    """A file's numeric columns as an `(n, m)` int64 array and its text
-    columns, from the file's bytes.
+def _numbers(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, parse) -> tuple[np.ndarray, np.ndarray | None]:
+    """`_decimals` of a column parsed by `parse`, a leading `-` allowed if
+    that is `_signed`, and the mask of the rows with a field it cannot
+    decode (whose values are garbage), or None if there is none."""
+    values = _decimals(buf, ends, widths)
+    if values is not None:
+        return values, None
+    minus = (buf[ends - widths] == ord("-")) & (parse is _signed)
+    digits = widths - minus
+    fits = (digits >= 1) & (digits <= FAST_DIGITS)
+    values = _decimals(buf, ends, digits, fits)
+    return np.where(minus, -values, values), ~(fits if fits.ndim == 1 else fits.all(axis=1))
 
-    Returns None, leaving the verdict to the line scan, on any byte it does
-    not expect: CR, invalid UTF-8, a row without exactly k-1 tabs, a
-    numeric field that is not 1 to FAST_DIGITS digits (a sign included)
-    or, if `unique`, a repeated first column.
-    """
-    if b"\r" in data:
-        return None
+
+def _lf(data: bytes) -> bytes:
+    """`data` with each CRLF, then each lone CR, made an LF, so that lines
+    end where `bytes.splitlines` ends them."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def _data_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based physical line and the offset of the first byte of each
+    data line (neither blank nor a comment) of LF-ended `data`."""
+    buf = np.frombuffer(b"\n" + data, dtype=np.uint8)
+    starts = np.flatnonzero(buf[:-1] == ord("\n"))  # each line's first byte, in `data`
+    kept = np.flatnonzero((buf[starts + 1] != ord("\n")) & (buf[starts + 1] != ord("#")))
+    return kept + 1, starts[kept]
+
+
+def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, path: str | None = None) -> Parsed:
+    """A file's numeric columns as an `(n, m)` int64 array and its text
+    columns, from its bytes, whose lines end at LF, CRLF or a lone CR. The
+    rows numpy cannot decode go through the column table's field parsers.
+    A bad line (invalid UTF-8, a wrong field count, a bad field, a repeated
+    first column given `duplicate`, in that order) raises once the lines
+    before it parse."""
+    data = _lf(data)
     if not data.isascii():
         try:
             data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
+        except UnicodeDecodeError as err:
+            start = data.rfind(b"\n", 0, err.start) + 1
+            _parse(data[:start], columns, duplicate, path)  # an earlier bad line raises first
+            reason = f"invalid UTF-8 at byte {err.start - start} of the line"
+            raise ParseError(data.count(b"\n", 0, start) + 1, reason, path) from None
     buf = _rows(data)
     k = len(columns)
     ends = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
-    if ends.size % k:
-        return None
-    kinds = buf[ends].reshape(-1, k)
-    if not ((kinds[:, :-1] == ord("\t")).all() and (kinds[:, -1] == ord("\n")).all()):
-        return None
+    kinds = buf[ends]
+    rows = kinds.reshape(-1, k) if ends.size % k == 0 else None  # k-1 tabs, then a newline, per row
+    if rows is None or not ((rows[:, :-1] == ord("\t")).all() and (rows[:, -1] == ord("\n")).all()):
+        counts = np.diff(np.flatnonzero(kinds == ord("\n")), prepend=-1)  # each row's field count
+        row = int(np.argmin(counts == k))
+        lines, starts = _data_lines(data)
+        _parse(data[: starts[row]], columns, duplicate, path)
+        raise ParseError(int(lines[row]), f"expected {k} tab-separated fields, got {counts[row]}", path)
     widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, k)
     ends = ends.reshape(-1, k)
-    numeric = [j for j, (_, parse) in enumerate(columns) if parse is not _text]
+    numeric = [j for j, (_, parse) in enumerate(columns) if parse]
     texts = [Titles(buf, ends[:, j] - widths[:, j], ends[:, j]) for j in range(k) if j not in numeric]
     # best of 60 on the seed-1 perfbench inputs, 2-CPU VM, numpy 2.4: the
     # node table's columns differ in width and decode faster a column at a
     # time (nodes.tsv, 7.7k rows: 0.68 ms, 0.79 in one call), all-integer
-    # files faster in one (n, k) call (edits.tsv, 100k rows: 6.8 ms, 7.8)
-    if texts:
-        decoded = [_decimals(buf, ends[:, j], widths[:, j]) for j in numeric]
-        values = None if any(column is None for column in decoded) else np.column_stack(decoded)
-    else:
-        values = _decimals(buf, ends, widths)
-    if values is None:
-        return None
-    if unique and (np.diff(np.sort(values[:, 0])) == 0).any():
-        return None
+    # files, none with a `_signed` column, in one (n, k) call (edits.tsv,
+    # 100k rows: 6.8 ms, 7.8)
+    blocks = [(ends[:, j], widths[:, j], columns[j][1]) for j in numeric] if texts else [(ends, widths, _unsigned)]
+    decoded = [_numbers(buf, *block) for block in blocks]
+    values = np.column_stack([column for column, _ in decoded]) if texts else decoded[0][0]
+    flagged = sorted({row for _, bad in decoded if bad is not None for row in np.flatnonzero(bad).tolist()})
+    lines, starts = _data_lines(data) if flagged else (None, None)
+    for row in flagged:
+        fields = zip(buf[ends[row, 0] - widths[row, 0] : ends[row, -1]].tobytes().decode("utf-8").split("\t"), columns)
+        try:
+            values[row] = [parse(value, what, int(lines[row]), path) for value, (what, parse) in fields if parse]
+        except ParseError:
+            _parse(data[: starts[row]], columns, duplicate, path)
+            raise
+    ids = values[:, 0]
+    if duplicate and (np.diff(np.sort(ids)) == 0).any():
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        row = int(np.argmax(first[inverse] != np.arange(len(ids))))  # the first that repeats an earlier row
+        lines, (kind, message) = _data_lines(data)[0], duplicate
+        raise kind(int(lines[row]), message.format(ids[row], lines[first[inverse[row]]]), path)
     return values, texts
 
 
-def _scan(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None = None) -> Parsed:
-    """The line-by-line parse: what `_parse` returns, or the error of the
-    first bad line. Given `duplicate`, a repeated first column raises it."""
-    rows = []
-    first_line: dict[int, int] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != len(columns):
-            raise ParseError(lineno, f"expected {len(columns)} tab-separated fields, got {len(parts)}", str(path))
-        row = [parse(value, what, lineno, path) for value, (what, parse) in zip(parts, columns)]
-        if duplicate and first_line.setdefault(row[0], lineno) != lineno:
-            error, message = duplicate
-            raise error(lineno, message.format(row[0], first_line[row[0]]), str(path))
-        rows.append(row)
-    numeric = [j for j, (_, parse) in enumerate(columns) if parse is not _text]
-    fields = list(zip(*rows)) or [()] * len(columns)
-    values = np.array([fields[j] for j in numeric], dtype=np.int64).reshape(len(numeric), -1).T.copy()
-    return values, [Titles.from_strings(fields[j]) for j in range(len(columns)) if j not in numeric]
-
-
 def _read(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None = None) -> Parsed:
-    """Parse a file in numpy, or by the line scan where that leaves the verdict to it."""
+    """Parse a file by its column table."""
     with open(path, "rb") as fh:
-        parsed = _parse(fh.read(), columns, duplicate is not None)
-    return _scan(path, columns, duplicate) if parsed is None else parsed
+        return _parse(fh.read(), columns, duplicate, str(path))
 
 
 def _record_line(path: str | os.PathLike, ordinal: int) -> int:
     """The physical line of the file's `ordinal`-th (1-based) data record."""
-    return next(islice(_data_lines(path), ordinal - 1, None), (ordinal, ""))[0]
+    with open(path, "rb") as fh:
+        lines = _data_lines(_lf(fh.read()))[0]
+    return int(lines[ordinal - 1]) if ordinal <= len(lines) else ordinal
 
 
 def load_nodes(path: str | os.PathLike) -> NodeTable:

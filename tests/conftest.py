@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import titles_of
 
 from wgm.graph import build_graph
-from wgm.ingest import NodeRecord, NodeTable, Titles
+from wgm.ingest import NodeRecord, NodeTable
 
 DATA = __import__("pathlib").Path(__file__).parent / "data"
 
@@ -34,7 +35,7 @@ def node_table(records):
     return NodeTable(
         np.array([r.id for r in records], dtype=np.int64),
         np.array([r.namespace for r in records], dtype=np.int64),
-        Titles.from_strings([r.title for r in records]),
+        titles_of([r.title for r in records]),
     )
 
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from wgm.degrees import _hurwitz_zeta
 from wgm.edits import EditLog
-from wgm.errors import EmptyCategorySelection, InvalidSpec
+from wgm.errors import EmptyCategorySelection, InvalidSpec, ParseError
 from wgm.graph import build_graph
+from wgm.ingest import Titles
 
 
 def degrees_by_edge_scan(edges, node_count):
@@ -390,3 +391,46 @@ def resolve_edits_unique(records, catmap, categories):
         category=cats[keys % cats.size],
         count=count.astype(np.int64),
     )
+
+
+def titles_of(strings):
+    """`Titles` over one buffer holding the UTF-8 bytes of `strings`."""
+    encoded = [title.encode("utf-8") for title in strings]
+    lengths = np.array([len(b) for b in encoded], dtype=np.int64)
+    stop = np.cumsum(lengths)
+    return Titles(np.frombuffer(b"".join(encoded), dtype=np.uint8), stop - lengths, stop)
+
+
+def data_lines(path):
+    """Yield (1-based line number, line), skipping comments and blanks. Lines
+    end at LF, CR or CRLF; bytes that are not UTF-8 raise ParseError at their line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ParseError(lineno, f"invalid UTF-8 at byte {err.start} of the line", str(path)) from None
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def scan(path, columns, duplicate=None):
+    """The line-by-line parse of a TSV file by its column table: what
+    `wgm.ingest._parse` returns, or the error of the first bad line. Given
+    `duplicate`, a repeated first column raises it."""
+    rows = []
+    first_line = {}
+    for lineno, line in data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != len(columns):
+            raise ParseError(lineno, f"expected {len(columns)} tab-separated fields, got {len(parts)}", str(path))
+        row = [parse(value, what, lineno, path) if parse else value for value, (what, parse) in zip(parts, columns)]
+        if duplicate and first_line.setdefault(row[0], lineno) != lineno:
+            error, message = duplicate
+            raise error(lineno, message.format(row[0], first_line[row[0]]), str(path))
+        rows.append(row)
+    numeric = [j for j, (_, parse) in enumerate(columns) if parse]
+    fields = list(zip(*rows)) or [()] * len(columns)
+    values = np.array([fields[j] for j in numeric], dtype=np.int64).reshape(len(numeric), -1).T.copy()
+    return values, [titles_of(fields[j]) for j in range(len(columns)) if j not in numeric]

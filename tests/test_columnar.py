@@ -3,16 +3,17 @@
 The references are the dict- and line-based algorithms the columnar code
 replaced, kept here verbatim in spirit: a dict of (author, category)
 counts scanned once per category, a dict of category sets per article,
-and a per-line parse. Results must be equal to the last bit, which the
-JSON bytes of `render` make visible (-0.0 included).
+and the per-line parse `oracles.scan`. Results must be equal to the last
+bit, which the JSON bytes of `render` make visible (-0.0 included).
 """
 
 import math
 
 import numpy as np
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import scan
 
 from wgm.cli import render
 from wgm.edits import (
@@ -37,7 +38,6 @@ from wgm.ingest import (
     CategoryMap,
     NodeTable,
     _parse,
-    _scan,
     load_category_map,
     load_edges,
     load_edit_log,
@@ -206,13 +206,12 @@ def test_entropy_side_matches_dict_reference(log_data, bin_width):
 # --- the array parser against the line scan ----------------------------------
 
 
-def parse_ints(data):
-    parsed = _parse(data, EDIT_COLUMNS, False)
-    return None if parsed is None else parsed[0]
+def parse_ints(data, path, columns=EDIT_COLUMNS):
+    return _parse(data, columns, None, str(path))[0]
 
 
 def scan_ints(path, columns=EDIT_COLUMNS):
-    return _scan(path, columns)[0]
+    return scan(path, columns)[0]
 
 
 # pieces a field can be made of: plain ids, and everything the line scan
@@ -243,20 +242,28 @@ def outcome(parse):
     try:
         table = parse()
     except ParseError as err:
-        return ("error", err.line, err.path, err.reason)
+        return ("error", type(err), err.line, err.path, str(err))
     assert table.dtype.name == "int64" and table.ndim == 2 and table.shape[1] == 2
     return ("ok", table.tolist())
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=raw_files)
+@example(data=b"1\t2\n3\t\xe2\x82\n\xac4\t5\n")  # a UTF-8 sequence cut by a newline
+@example(data=b"1\t2\n# caf\xff\n3\t4\n")  # invalid UTF-8 in a comment line
+@example(data=b"1\t2\r3\t4\r\n5\t6\n")
+@example(data=b"x\t1\n1\t\xff\n")  # a field error, then invalid UTF-8
+@example(data=b"1\t\xff\nx\t1\n")
+@example(data=b"x\t\xff\n")
+@example(data=b"-0\t-0\n-007\t2\n")
+@example(data=b"1\t" + b"1" * 5000 + b"\n")  # int() refuses 4,300+ digits
+@example(data=b"000000000000000000001\t2\n9223372036854775807\t-0\n")
+@example(data=b"\xef\xbb\xbf1\t2\n")  # a UTF-8 BOM is part of the first field
 def test_array_parser_agrees_with_line_scan(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("parse") / "edits.tsv"
     path.write_bytes(data)
     scanned = outcome(lambda: scan_ints(path))
-    fast = parse_ints(data)
-    if fast is not None:
-        assert scanned == ("ok", fast.tolist())
+    assert outcome(lambda: parse_ints(data, path)) == scanned
     assert outcome(lambda: load_edit_log(path)) == scanned
     assert outcome(lambda: load_edges(path)) == outcome(lambda: scan_ints(path, EDGE_COLUMNS))
 
@@ -275,11 +282,10 @@ def test_array_parser_takes_well_formed_files(rows, comments, blanks, final_newl
     for at in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), b"")
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    fast = parse_ints(data)
-    assert fast is not None
-    assert fast.tolist() == [list(r) for r in rows]
     path = tmp_path_factory.mktemp("parse") / "edits.tsv"
     path.write_bytes(data)
+    fast = parse_ints(data, path)
+    assert fast.tolist() == [list(r) for r in rows]
     assert scan_ints(path).tolist() == fast.tolist()
 
 
@@ -329,13 +335,12 @@ def as_node_table(parsed):
     return NodeTable(values[:, 0], values[:, 1], titles)
 
 
-def parse_nodes(data):
-    parsed = _parse(data, NODE_COLUMNS, True)
-    return None if parsed is None else as_node_table(parsed)
+def parse_nodes(data, path):
+    return as_node_table(_parse(data, NODE_COLUMNS, DUPLICATE_NODE, str(path)))
 
 
 def scan_nodes(path):
-    return as_node_table(_scan(path, NODE_COLUMNS, DUPLICATE_NODE))
+    return as_node_table(scan(path, NODE_COLUMNS, DUPLICATE_NODE))
 
 
 def node_outcome(parse):
@@ -349,13 +354,24 @@ def node_outcome(parse):
 
 @settings(max_examples=500, deadline=None)
 @given(data=node_files)
+@example(data=b"0\tCura\xc3\n\xa7ao\t0\n")  # a UTF-8 sequence cut by a newline
+@example(data=b"0\tA\t0\n# caf\xff\n1\tB\t0\n")  # invalid UTF-8 in a comment line
+@example(data=b"0\tA\rB\t0\n")  # a lone CR inside a title ends the line
+@example(data=b"0\tA\t0\n0\tB\t0\nx\tC\t0\n")  # a duplicate, then a bad row
+@example(data=b"0\tA\t0\nx\tB\t0\n0\tC\t0\n")  # a bad row, then a duplicate
+@example(data=b"x\tA\t0\n1\t\xff\t0\n")  # a field error, then invalid UTF-8
+@example(data=b"1\t\xff\t0\nx\tA\t0\n")
+@example(data=b"x\t\xff\t0\n")
+@example(data=b"-0\tA\t0\n-007\tB\t0\n")
+@example(data=b"0\tA\t" + b"1" * 5000 + b"\n")  # int() refuses 4,300+ digits
+@example(data=b"0\tA\t-9223372036854775808\n1\tB\t-9223372036854775809\n")
+@example(data=b"000000000000000000001\tA\t-0\n1\tB\t0\n")
+@example(data=b"\xef\xbb\xbf0\tA\t0\n")  # a UTF-8 BOM is part of the first field
 def test_node_parser_agrees_with_line_scan(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("parse") / "nodes.tsv"
     path.write_bytes(data)
     scanned = node_outcome(lambda: scan_nodes(path))
-    fast = parse_nodes(data)
-    if fast is not None:
-        assert node_outcome(lambda: fast) == scanned
+    assert node_outcome(lambda: parse_nodes(data, path)) == scanned
     assert node_outcome(lambda: load_nodes(path)) == scanned
 
 
@@ -378,11 +394,10 @@ def test_node_parser_takes_well_formed_files(rows, comments, blanks, final_newli
     for at in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), b"")
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    fast = parse_nodes(data)
-    assert fast is not None
-    assert node_outcome(lambda: fast) == ("ok", [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])
     path = tmp_path_factory.mktemp("parse") / "nodes.tsv"
     path.write_bytes(data)
+    fast = parse_nodes(data, path)
+    assert node_outcome(lambda: fast) == ("ok", [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])
     assert node_outcome(lambda: scan_nodes(path)) == node_outcome(lambda: fast)
 
 
@@ -421,14 +436,25 @@ def names_outcome(load):
 
 @settings(max_examples=400, deadline=None)
 @given(data=name_files)
+@example(data=b"1\tcaf\xc3\n\xa9\n")  # a UTF-8 sequence cut by a newline
+@example(data=b"1\ta\n# \xff\n2\tb\n")  # invalid UTF-8 in a comment line
+@example(data=b"1\tsci\rence\n")  # a lone CR inside a name ends the line
+@example(data=b"1\ta\n1\tb\nx\tc\n")  # a duplicate, then a bad row
+@example(data=b"1\ta\nx\tb\n1\tc\n")  # a bad row, then a duplicate
+@example(data=b"x\ta\n1\t\xff\n")  # a field error, then invalid UTF-8
+@example(data=b"1\t\xff\nx\ta\n")
+@example(data=b"x\t\xff\n")
+@example(data=b"-0\ta\n0\tb\n")
+@example(data=b"-007\ta\n")
+@example(data=b"1" * 5000 + b"\tbig\n")  # int() refuses 4,300+ digits
+@example(data=b"000000000000000000001\ta\n")
+@example(data=b"\xef\xbb\xbf1\ta\n")  # a UTF-8 BOM is part of the first field
 def test_names_parser_agrees_with_line_scan(data, tmp_path_factory):
     d = tmp_path_factory.mktemp("parse")
     (d / "catnames.tsv").write_bytes(data)
     (d / "catmap.tsv").write_bytes(b"")
-    scanned = table_outcome(lambda: _scan(d / "catnames.tsv", NAME_COLUMNS, DUPLICATE_CATEGORY))
-    fast = _parse(data, NAME_COLUMNS, True)
-    if fast is not None:
-        assert table_outcome(lambda: fast) == scanned
+    scanned = table_outcome(lambda: scan(d / "catnames.tsv", NAME_COLUMNS, DUPLICATE_CATEGORY))
+    assert table_outcome(lambda: _parse(data, NAME_COLUMNS, DUPLICATE_CATEGORY, str(d / "catnames.tsv"))) == scanned
     expected = scanned
     if scanned[0] == "ok":
         expected = ("ok", [(cat_id, name) for (cat_id,), name in zip(scanned[1], scanned[2][0])])
@@ -449,14 +475,12 @@ def test_names_parser_takes_well_formed_files(rows, comments, blanks, final_newl
     for at in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), b"")
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
-    fast = _parse(data, NAME_COLUMNS, True)
-    assert fast is not None
-    assert table_outcome(lambda: fast) == ("ok", [[i] for i, _ in rows], [[name for _, name in rows]])
     d = tmp_path_factory.mktemp("parse")
     (d / "catnames.tsv").write_bytes(data)
     (d / "catmap.tsv").write_bytes(b"")
-    scanned = table_outcome(lambda: _scan(d / "catnames.tsv", NAME_COLUMNS, DUPLICATE_CATEGORY))
-    assert scanned == table_outcome(lambda: fast)
+    fast = table_outcome(lambda: _parse(data, NAME_COLUMNS, DUPLICATE_CATEGORY, str(d / "catnames.tsv")))
+    assert fast == ("ok", [[i] for i, _ in rows], [[name for _, name in rows]])
+    assert table_outcome(lambda: scan(d / "catnames.tsv", NAME_COLUMNS, DUPLICATE_CATEGORY)) == fast
     assert load_category_map(d / "catmap.tsv", d / "catnames.tsv").category_names == dict(rows)
 
 

@@ -149,13 +149,36 @@ SYNTH_GOLDEN = {
 }
 
 
+# these also run on copies of the fixtures with CRLF and with lone-CR line
+# ends, and degrees-titles on one whose non-main namespaces are negative
+ACROSS_LINE_ENDS = ("report", "report-undirected", "degrees-titles")
+NEGATIVE_NAMESPACES = {b"\t1\n": b"\t-1\n", b"\t2\n": b"\t-2\n", b"\t10\n": b"\t-1\n"}
+
+
+def fixture_copies(name, data_dir, tmp_path):
+    """The fixture directory, then each copy of it that `name` also runs on."""
+    yield data_dir
+    edits = [("*.tsv", {b"\n": b"\r\n"}), ("*.tsv", {b"\n": b"\r"})] if name in ACROSS_LINE_ENDS else []
+    edits += [("titles_nodes.tsv", NEGATIVE_NAMESPACES)] if name == "degrees-titles" else []
+    for i, (pattern, replacements) in enumerate(edits):
+        copy = tmp_path / f"copy{i}"
+        copy.mkdir()
+        for tsv in data_dir.glob("*.tsv"):
+            data = tsv.read_bytes()
+            for old, new in replacements.items() if tsv.match(pattern) else ():
+                data = data.replace(old, new)
+            (copy / tsv.name).write_bytes(data)
+        yield copy
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixture_output_digest(name, data_dir, tmp_path):
     argv, digest = GOLDEN[name]
-    argv = [str(data_dir / a) if a.endswith(".tsv") else a for a in argv]
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    for directory in fixture_copies(name, data_dir, tmp_path):
+        out = tmp_path / "out"
+        args = [str(directory / a) if a.endswith(".tsv") else a for a in argv]
+        assert main([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, directory
 
 
 @pytest.mark.parametrize("name", sorted(SYNTH_GOLDEN))

@@ -25,6 +25,10 @@ from wgm.ingest import (
 )
 
 
+# a line ends at LF, CRLF or a lone CR
+LINE_ENDS, LINE_END_IDS = [b"\n", b"\r\n", b"\r"], ["lf", "crlf", "cr"]
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -113,8 +117,10 @@ class TestLoadCategoryMap:
         )
         assert cm.article_to_categories[5] == frozenset([2, 3])
 
-    def test_unnamed_category_at_its_physical_line(self, tmp_path):
-        path = _write(tmp_path, "map.tsv", "# map\n5\t2\n\n6\t3\n")
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=LINE_END_IDS)
+    def test_unnamed_category_at_its_physical_line(self, tmp_path, end):
+        path = tmp_path / "map.tsv"
+        path.write_bytes(b"# map\n5\t2\n\n6\t3\n".replace(b"\n", end))
         with pytest.raises(UnnamedCategory) as err:
             load_category_map(path, _write(tmp_path, "names.tsv", "2\tsci\n"))
         assert (err.value.line, err.value.path) == (4, str(path))
@@ -183,8 +189,10 @@ class TestFilterMainNamespace:
             filter_main_namespace(node_table([NodeRecord(0, "a", 0)]), [(0, 0), (0, 99)])
         assert err.value.line == 2
 
-    def test_unknown_node_given_the_path_names_file_and_physical_line(self, tmp_path):
-        path = _write(tmp_path, "edges.tsv", "# edges\n0\t1\n\n1\t3\n")
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=LINE_END_IDS)
+    def test_unknown_node_given_the_path_names_file_and_physical_line(self, tmp_path, end):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"# edges\n0\t1\n\n1\t3\n".replace(b"\n", end))
         nodes = node_table([NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(5, "c", 1)])
         with pytest.raises(UnknownNodeInEdge) as err:
             filter_main_namespace(nodes, load_edges(path), path=path)

@@ -58,26 +58,31 @@ def test_report_bytes_do_not_depend_on_blas_threads(blas_threads):
 
 
 def blas_uses(tree):
-    """(line, name) of each `@` and each BLAS-reaching numpy name in `tree`."""
+    """(line, name) of each `@`, each BLAS-reaching numpy name that is
+    imported or read as an attribute, and each `from numpy import *` in
+    `tree`. A bare name reaches numpy only through an import, so a local
+    spelled like a routine (`inner`, `dot`) is no finding."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             words = ["@"]
-        elif isinstance(node, ast.Name):
-            words = [node.id]
         elif isinstance(node, ast.Attribute):
             words = [node.attr]
         elif isinstance(node, ast.alias):
             words = node.name.split(".")
         elif isinstance(node, ast.ImportFrom):
             words = (node.module or "").split(".")
+            words += ["import *"] if words[0] == "numpy" and any(a.name == "*" for a in node.names) else []
         else:
             continue
-        yield from ((node.lineno, w) for w in words if w == "@" or w in BLAS_NAMES)
+        yield from ((node.lineno, w) for w in words if w in ("@", "import *") or w in BLAS_NAMES)
 
 
 def test_blas_uses_finds_each_form():
-    code = "a @ b\na @= b\nnp.dot(a, b)\nfrom numpy import linalg\nimport numpy.linalg\nfrom numpy.linalg import norm\neinsum(s)"
-    expected = [(1, "@"), (2, "@"), (3, "dot"), (4, "linalg"), (5, "linalg"), (6, "linalg"), (7, "einsum")]
+    code = (
+        "a @ b\na @= b\nnp.dot(a, b)\nfrom numpy import linalg\nimport numpy.linalg\nfrom numpy.linalg import norm\n"
+        "from numpy import *\ninner = 0\na.dot(b)"
+    )
+    expected = [(1, "@"), (2, "@"), (3, "dot"), (4, "linalg"), (5, "linalg"), (6, "linalg"), (7, "import *"), (9, "dot")]
     assert sorted(blas_uses(ast.parse(code))) == expected
 
 
