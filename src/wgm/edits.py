@@ -139,7 +139,7 @@ def resolve_edits(
     member_article, member_category = catmap.article[member], slot[member]
     author, article = edits[:, 0], edits[:, 1]
     span = int(article.max(initial=0)) + 1
-    wide = edits.min(initial=0) < 0 or int(author.max(initial=0)) * span + span - 1 > INT64_MAX
+    wide = edits.min(initial=0) < 0 or span > INT64_MAX or int(author.max(initial=0)) * span + span - 1 > INT64_MAX
     if wide:  # negative ids, or ids too large for one int64 key: both columns are keyed by rank
         (author_ids, author), (article_ids, article) = (np.unique(c, return_inverse=True) for c in (author, article))
         span = article_ids.size

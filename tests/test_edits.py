@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgm.cli import ACTIVE_COLUMNS, BIN_COLUMNS, main, render
@@ -109,6 +109,8 @@ class TestOneSortResolution:
 
     @settings(max_examples=400, deadline=None)
     @given(log=id_logs())
+    # article 2**63 - 1 makes the key span 2**63, past int64, though author 0's keys fit
+    @example(log=([(0, 2**63 - 1)], CategoryMap(article_to_categories={2**63 - 1: {0}}), frozenset([0])))
     def test_equals_unique_reference(self, log):
         assert_same_log(resolve_edits(*log), resolve_edits_unique(*log))
 
