@@ -159,48 +159,26 @@ def _load_edit_log(cfg: RunConfig) -> tuple[ed.EditLog, dict[int, str]]:
 
 @functools.cache
 def _names(cls: type) -> tuple[str, ...] | None:
-    """A dataclass type's field and property names, or None for any other type."""
+    """A dataclass type's field and property names in sorted order, or None for any other type."""
     if not is_dataclass(cls):
         return None
     props = (name for name, attr in vars(cls).items() if isinstance(attr, property))
-    return (*(f.name for f in fields(cls)), *props)
+    return tuple(sorted((*(f.name for f in fields(cls)), *props)))
 
 
-def _plain(value):
-    """The JSON form of a result.
+# the float reprs that are not JSON
+_FLOAT_JSON = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The JSON form of a result, as `json.dumps(..., sort_keys=True, indent=2)`
+    writes it, where `pad` is the newline and indent of its own nesting level.
 
     A dataclass becomes its fields and properties by name, an int-keyed
     dict its ascending [key, value] rows, a tuple a list, and NaN null.
     A subclass of float, int, str, list, tuple or dict (np.float64, say)
-    is made plain as its base type.
+    is written as its base type.
     """
-    kind = type(value)
-    if kind is float:
-        return None if value != value else value
-    if kind is int or kind is str or kind is bool or value is None:
-        return value
-    if kind is list or kind is tuple:
-        return [_plain(item) for item in value]
-    if kind is dict:
-        if all(isinstance(key, int) for key in value):
-            return [[_plain(key), _plain(value[key])] for key in sorted(value)]
-        return {key: _plain(item) for key, item in value.items()}
-    names = _names(kind)
-    if names is not None:
-        return {name: _plain(getattr(value, name)) for name in names}
-    for base in (float, int, str, list, tuple, dict):
-        if isinstance(value, base):
-            return _plain(base(value))
-    return value
-
-
-# the two floats whose repr is not JSON (NaN is already null in the plain form)
-_INFINITE = {"inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json(value, pad: str = "\n") -> str:
-    """A plain value as `json.dumps(value, sort_keys=True, indent=2)` writes
-    it, where `pad` is the newline and indent of its own nesting level."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -208,37 +186,58 @@ def _json(value, pad: str = "\n") -> str:
         return repr(value)
     if kind is float:
         text = repr(value)
-        return _INFINITE.get(text, text)
+        return _FLOAT_JSON.get(text, text)
     if value is None:
         return "null"
     if kind is bool:
         return "true" if value else "false"
     deeper = pad + "  "
-    if kind is list:
-        items = [_json(item, deeper) for item in value]
-        return "[" + deeper + ("," + deeper).join(items) + pad + "]" if items else "[]"
-    if kind is dict:
-        items = [encode_basestring_ascii(key) + ": " + _json(value[key], deeper) for key in sorted(value)]
-        return "{" + deeper + ("," + deeper).join(items) + pad + "}" if items else "{}"
-    raise TypeError(f"{kind.__name__} is not a plain value")
+    if kind is list or kind is tuple:
+        items, ends = [_json(item, deeper) for item in value], "[]"
+    elif kind is dict and all(isinstance(key, int) for key in value):
+        row = deeper + "  "
+        items = [f"[{row}{_json(key, row)},{row}{_json(value[key], row)}{deeper}]" for key in sorted(value)]
+        ends = "[]"
+    elif kind is dict or (names := _names(kind)) is not None:
+        pairs = sorted(value.items()) if kind is dict else [(name, getattr(value, name)) for name in names]
+        items, ends = [encode_basestring_ascii(key) + ": " + _json(item, deeper) for key, item in pairs], "{}"
+    else:
+        for base in (float, int, str, list, tuple, dict):
+            if isinstance(value, base):
+                return _json(base(value), pad)
+        raise TypeError(f"{kind.__name__} is not a plain value")
+    return ends[0] + deeper + ("," + deeper).join(items) + pad + ends[1] if items else ends
+
+
+def _cell(value) -> str:
+    """One CSV cell: an int or float by its base type's repr (a bool as
+    True or False), None and NaN empty, and a cell that holds `,`, `"` or a
+    line break quoted as RFC 4180 quotes it."""
+    if isinstance(value, int) and type(value) is not bool:
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if value == value else ""
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def render(result, fmt: str = "json", columns: Sequence[str] | None = None) -> str:
     """The one serializer of every command and script.
 
-    JSON is the plain form of `result`, written as `json.dumps(...,
-    sort_keys=True, indent=2)` would write it. CSV is the rows of `result`
-    under `columns`, or without them the flat record `result` as sorted
-    `key,value` rows. CSV floats are written with repr, and None and NaN
-    as an empty cell.
+    JSON is `result` written by `_json` in one walk. CSV is the rows of
+    `result` under `columns` (an int-keyed dict's rows are its sorted
+    items), or without them the flat record `result` as sorted `key,value`
+    rows, each cell written by `_cell`. A cell is a scalar: a nested list
+    or record would be written by `str`, which no command or script asks for.
     """
-    plain = _plain(result)
     if fmt == "json":
-        return _json(plain) + "\n"
-    rows = plain if columns is not None else sorted(plain.items())
-    lines = [columns or ("key", "value"), *rows]
-    cells = ([repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in row] for row in lines)
-    return "".join(",".join(row) + "\n" for row in cells)
+        return _json(result) + "\n"
+    names = _names(type(result))
+    if names is not None:  # a flat record
+        rows = [(name, getattr(result, name)) for name in names]
+    else:
+        rows = sorted(result.items()) if isinstance(result, dict) else result
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [columns or ("key", "value"), *rows])
 
 
 def _unwritable(out, err: OSError) -> UsageError:

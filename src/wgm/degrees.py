@@ -140,9 +140,9 @@ def _log(values: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) for v in values.tolist()])
 
 
-def _fit(k: np.ndarray, n: np.ndarray, x_min: int, alpha: float, intercept: float) -> PowerLawFit:
-    """The line log(n_k) = intercept - alpha*log(k) with its count-weighted r_squared."""
-    x, y, w = _log(k), _log(n), n
+def _fit(x: np.ndarray, y: np.ndarray, w: np.ndarray, x_min: int, alpha: float, intercept: float) -> PowerLawFit:
+    """The line y = intercept - alpha*x with its r_squared weighted by w, for
+    x = log(k), y = log(n_k) and the node counts w = n_k."""
     ybar = (w * y).sum() / w.sum()
     ss_res = float((w * (y + alpha * x - intercept) ** 2).sum())
     ss_tot = float((w * (y - ybar) ** 2).sum())
@@ -152,7 +152,7 @@ def _fit(k: np.ndarray, n: np.ndarray, x_min: int, alpha: float, intercept: floa
         log_prefactor=float(intercept),
         x_min=int(x_min),
         r_squared=max(0.0, min(1.0, r_squared)),
-        points_used=int(k.size),
+        points_used=int(x.size),
     )
 
 
@@ -172,7 +172,7 @@ def fit_power_law(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     if sxx == 0.0:
         raise InsufficientPoints("degree values are not distinct on the log axis")
     slope = (w * (x - xbar) * (y - ybar)).sum() / sxx
-    return _fit(k, n, x_min, -slope, ybar - slope * xbar)
+    return _fit(x, y, w, x_min, -slope, ybar - slope * xbar)
 
 
 def _hurwitz_zeta(s: float, a: float, head: int = 32) -> float:
@@ -195,8 +195,9 @@ def fit_power_law_mle(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
     intercept refit by count-weighted least squares.
     """
     k, n = _fit_points(hist, x_min)
+    x, y = _log(k), _log(n)
     total = float(n.sum())
-    sum_log = float((n * _log(k)).sum())
+    sum_log = float((n * x).sum())
 
     def neg_loglik(alpha: float) -> float:
         return alpha * sum_log + total * math.log(_hurwitz_zeta(alpha, float(x_min)))
@@ -217,8 +218,8 @@ def fit_power_law_mle(hist: DegreeHistogram, x_min: int = 1) -> PowerLawFit:
             fd = neg_loglik(d)
     alpha = (a + b) / 2.0
 
-    intercept = float(((n * _log(n)).sum() + alpha * sum_log) / total)
-    return _fit(k, n, x_min, alpha, intercept)
+    intercept = float(((n * y).sum() + alpha * sum_log) / total)
+    return _fit(x, y, n, x_min, alpha, intercept)
 
 
 def top_k_by_degree(graph: ArticleGraph, which: str = "total", k: int = 10) -> list[tuple[int, int]]:

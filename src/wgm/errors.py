@@ -66,10 +66,6 @@ class UnknownNodeInEdge(ParseError):
 class EndpointOutOfRange(DomainError):
     """An edge handed to build_graph has an endpoint < 0 or >= node_count."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
-
 
 class NodeOutOfRange(DomainError):
     """A queried node id is outside [0, node_count)."""

@@ -363,6 +363,49 @@ def render_json(result):
     return json.dumps(plain_reference(result), sort_keys=True, indent=2) + "\n"
 
 
+# `render`'s CSV before it read rows from the results themselves, kept
+# unchanged: a plain copy of the whole result first, then one rule per cell.
+# It never quotes, so it is the reference for cells without `,`, `"` or a
+# line break only.
+
+
+def plain_copy(value):
+    """The plain copy of a result that `render` made before writing it.
+
+    As `plain_reference`, and a subclass of float, int, str, list, tuple or
+    dict (np.float64, say) is made plain as its base type.
+    """
+    kind = type(value)
+    if kind is float:
+        return None if value != value else value
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is list or kind is tuple:
+        return [plain_copy(item) for item in value]
+    if kind is dict:
+        if all(isinstance(key, int) for key in value):
+            return [[plain_copy(key), plain_copy(value[key])] for key in sorted(value)]
+        return {key: plain_copy(item) for key, item in value.items()}
+    if is_dataclass(kind):
+        names = [f.name for f in fields(kind)]
+        names += [name for name, attr in vars(kind).items() if isinstance(attr, property)]
+        return {name: plain_copy(getattr(value, name)) for name in names}
+    for base in (float, int, str, list, tuple, dict):
+        if isinstance(value, base):
+            return plain_copy(base(value))
+    return value
+
+
+def render_csv(result, columns=None):
+    """The rows of `result` under `columns`, or the flat record `result` as
+    sorted `key,value` rows; floats by repr, None and NaN empty."""
+    plain = plain_copy(result)
+    rows = plain if columns is not None else sorted(plain.items())
+    lines = [columns or ("key", "value"), *rows]
+    cells = ([repr(v) if isinstance(v, float) else "" if v is None else str(v) for v in row] for row in lines)
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
 def resolve_edits_unique(records, catmap, categories):
     """Attribute raw (author_id, article_id) edits to the selected categories.
 

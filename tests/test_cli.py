@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from wgm.edits import HISTOGRAM_VALUE_BOUND, MAX_HISTOGRAM_BINS
 from wgm.errors import UsageError
 from wgm.structure import PathSampleResult
 
-from oracles import render_json
+from oracles import render_csv, render_json
 
 
 def run(capsys, *argv):
@@ -58,6 +59,18 @@ class Nothing:
     """A dataclass with no fields, whose plain form is the one empty JSON object."""
 
 
+@dataclass(frozen=True)
+class Flat:
+    """A flat record with a property, which CSV writes as sorted key,value rows."""
+
+    low: object
+    high: object
+
+    @property
+    def both_none(self):
+        return self.low is None and self.high is None
+
+
 # floats where repr changes notation (1e16, 1e-5), the smallest subnormal,
 # -0.0 and the non-finite values, besides arbitrary ones
 FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e16, 9999999999999998.0, 1e-5, 0.0001, math.inf, -math.inf, math.nan])
@@ -82,6 +95,15 @@ PLAIN_VALUES = st.recursive(
     | st.builds(Cell, TEXT, inner),
     max_leaves=24,
 )
+# CSV cells: scalars, and strings that need no quoting
+CSV_TEXT = st.text(
+    st.sampled_from("\\/\x00\x1f\x7f\t\u00e9\u2028\ud800\U0001f600ab ;'") | st.characters(exclude_characters=',"\r\n'),
+    max_size=6,
+)
+CELLS = st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200) | FLOATS | FLOATS.map(np.float64) | CSV_TEXT
+ROWS = st.lists(CELLS, max_size=4)
+TABLES = st.lists(ROWS | ROWS.map(tuple), max_size=5) | st.dictionaries(st.integers(), CELLS, max_size=5)
+FLAT_RECORDS = st.dictionaries(CSV_TEXT, CELLS, min_size=1, max_size=5) | st.builds(Flat, CELLS, CELLS)
 
 
 class TestRender:
@@ -108,6 +130,23 @@ class TestRender:
 
     def test_null_is_an_empty_table_cell(self):
         assert render([[1, None], [2, float("nan")]], "csv", ("a", "b")) == "a,b\n1,\n2,\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(table=TABLES, columns=st.lists(CSV_TEXT, max_size=4).map(tuple))
+    def test_table_csv_equals_the_reference(self, table, columns):
+        assert render(table, "csv", columns) == render_csv(table, columns)
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=FLAT_RECORDS)
+    def test_flat_record_csv_equals_the_reference(self, record):
+        assert render(record, "csv") == render_csv(record)
+
+    def test_csv_quotes_commas_quotes_and_line_breaks(self):
+        text = render([["a,b", 'say "hi"', "two\nlines", "plain"]], "csv", ("w", "x", "y", "z"))
+        assert text == 'w,x,y,z\n"a,b","say ""hi""","two\nlines",plain\n'
+        assert list(csv.reader(text.splitlines(keepends=True))) == [
+            ["w", "x", "y", "z"], ["a,b", 'say "hi"', "two\nlines", "plain"]
+        ]
 
     def test_paths_csv_without_reachable_pairs(self, tmp_path, capsys):
         (tmp_path / "nodes.tsv").write_text("0\tA\t0\n1\tB\t0\n", encoding="utf-8")
@@ -260,6 +299,17 @@ class TestEditCommands:
         lines = out.strip().split("\n")
         assert lines[0] == "category,n_edits,n_authors,ea_bar,top20pct_share,top1_share"
         assert lines[1].startswith("science,3,2,1.5,")
+
+    def test_categories_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
+        edits, catmap, catnames = write_edit_fixture(tmp_path)
+        Path(catnames).write_text('5\tScience, Technology\n6\tthe "sports"\n', encoding="utf-8")
+        code, out, _ = run(
+            capsys, "categories", "--edits", edits, "--catmap", catmap, "--catnames", catnames, "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[0] for row in rows] == ["category", "Science, Technology", 'the "sports"']
 
     def test_categories_json_respects_include_anonymous(self, tmp_path, capsys):
         edits, catmap, catnames = write_edit_fixture(tmp_path)
