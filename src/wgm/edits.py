@@ -102,14 +102,6 @@ class AuthorProfile:
     def active_categories(self) -> int:
         return len(self.edits_per_category)
 
-    @property
-    def max_share(self) -> float:
-        return max_share(self)
-
-    @property
-    def entropy(self) -> float:
-        return author_entropy(self)
-
 
 @dataclass(frozen=True)
 class EntropyReport:

@@ -225,7 +225,7 @@ def _numbers(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, parse) -> tu
     digits = widths - minus
     fits = (digits >= 1) & (digits <= FAST_DIGITS)
     values = _decimals(buf, ends, digits, fits)
-    return np.where(minus, -values, values), ~(fits if fits.ndim == 1 else fits.all(axis=1))
+    return np.where(minus, -values, values), ~fits
 
 
 def _lf(data: bytes) -> bytes:
@@ -270,22 +270,17 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
         lines, starts = _data_lines(data)
         _parse(data[: starts[row]], columns, duplicate, path)
         raise ParseError(int(lines[row]), f"expected {k} tab-separated fields, got {counts[row]}", path)
-    widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, k)
-    ends = ends.reshape(-1, k)
+    # one contiguous row per column: numpy decodes a column faster than a strided view of it
+    widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, k).T.copy()
+    ends = ends.reshape(-1, k).T.copy()
     numeric = [j for j, (_, parse) in enumerate(columns) if parse]
-    texts = [Titles(buf, ends[:, j] - widths[:, j], ends[:, j]) for j in range(k) if j not in numeric]
-    # best of 60 on the seed-1 perfbench inputs, 2-CPU VM, numpy 2.4: the
-    # node table's columns differ in width and decode faster a column at a
-    # time (nodes.tsv, 7.7k rows: 0.68 ms, 0.79 in one call), all-integer
-    # files, none with a `_signed` column, in one (n, k) call (edits.tsv,
-    # 100k rows: 6.8 ms, 7.8)
-    blocks = [(ends[:, j], widths[:, j], columns[j][1]) for j in numeric] if texts else [(ends, widths, _unsigned)]
-    decoded = [_numbers(buf, *block) for block in blocks]
-    values = np.column_stack([column for column, _ in decoded]) if texts else decoded[0][0]
+    texts = [Titles(buf, ends[j] - widths[j], ends[j]) for j in range(k) if j not in numeric]
+    decoded = [_numbers(buf, ends[j], widths[j], columns[j][1]) for j in numeric]
+    values = np.column_stack([column for column, _ in decoded])
     flagged = sorted({row for _, bad in decoded if bad is not None for row in np.flatnonzero(bad).tolist()})
     lines, starts = _data_lines(data) if flagged else (None, None)
     for row in flagged:
-        fields = zip(buf[ends[row, 0] - widths[row, 0] : ends[row, -1]].tobytes().decode("utf-8").split("\t"), columns)
+        fields = zip(buf[ends[0, row] - widths[0, row] : ends[-1, row]].tobytes().decode("utf-8").split("\t"), columns)
         try:
             values[row] = [parse(value, what, int(lines[row]), path) for value, (what, parse) in fields if parse]
         except ParseError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyGraph, SingleNode
-from .graph import ArticleGraph, _run_starts
+from .graph import ArticleGraph, _keys, _run_starts
 
 __all__ = [
     "ClusteringTrace",
@@ -52,6 +52,7 @@ _LANES = 64  # BFS sources per uint64 word
 _WORDS = 8  # words of sources in flight per BFS batch
 _DENSE_BUDGET = 1 << 20  # bound on words * nodes, the size of each dense BFS buffer
 _WEDGE_BLOCK = 1 << 12  # wedges per block of the triangle kernel
+_TRACE_STRIDE = 100  # samples between the marks of a clustering trace
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -80,8 +81,7 @@ def _coefficients(graph: ArticleGraph) -> np.ndarray:
     rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
     up = np.repeat(rank, deg) < rank[indices]
     tail = indices[up]
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, deg)[up]
-    keys += tail  # a*n + b, ascending: rows ascend and each row is sorted
+    keys = _keys(indptr, indices)[up]  # a*n + b, ascending
     optr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=optr[1:])
     wedges = np.cumsum(np.diff(optr)[tail])
@@ -119,13 +119,11 @@ def exact_clustering(graph: ArticleGraph) -> float:
     return math.fsum(_coefficients(graph).tolist()) / graph.node_count
 
 
-def sampled_clustering(
-    graph: ArticleGraph, n_samples: int, seed: int, trace_stride: int = 100
-) -> ClusteringTrace:
+def sampled_clustering(graph: ArticleGraph, n_samples: int, seed: int) -> ClusteringTrace:
     """Estimate the mean clustering by uniform node sampling.
 
     Nodes are drawn with replacement from a generator seeded with
-    `seed`; the running mean is recorded every `trace_stride` samples
+    `seed`; the running mean is recorded every _TRACE_STRIDE samples
     and at the end. Identical (graph, n_samples, seed) runs produce
     identical traces.
     """
@@ -133,15 +131,13 @@ def sampled_clustering(
         raise EmptyGraph("cannot sample nodes of an empty graph")
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if trace_stride < 1:
-        raise DomainError(f"trace_stride must be >= 1, got {trace_stride}")
 
     coeff = _coefficients(graph)
     rng = np.random.default_rng(seed)
     running = coeff[rng.integers(0, graph.node_count, size=n_samples)]
     np.cumsum(running, out=running)
     running /= np.arange(1, n_samples + 1)
-    marks = list(range(trace_stride - 1, n_samples, trace_stride))
+    marks = list(range(_TRACE_STRIDE - 1, n_samples, _TRACE_STRIDE))
     if not marks or marks[-1] != n_samples - 1:
         marks.append(n_samples - 1)
     estimates = tuple((m + 1, float(running[m])) for m in marks)
@@ -221,7 +217,7 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
     once; source i owns bit i % 64 of word i // 64, and node v of word j
     has the key j*n + v in the dense `unseen` array. Each level pushes or
     pulls each word (see `_advance`). A batch stops once all its targets
-    are settled, and a word leaves the frontier once its own are.
+    are settled.
     """
     n = push[0].size - 1
     if pairs is None:
@@ -264,14 +260,6 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
                 hits = int(np.count_nonzero(settled))
                 if hits:
                     targets, target_bits = targets[~settled], target_bits[~settled]
-                    # a word whose targets are all settled leaves the frontier
-                    alive = np.zeros(words, dtype=bool)
-                    alive[targets // n] = True
-                    counts = np.diff(np.searchsorted(keys, word_ends))
-                    if counts[~alive].any():
-                        keep = np.repeat(alive, counts)
-                        keys = keys[keep]
-                        bits = None if bits is None else bits[keep]
             total += depth * hits
             reachable += hits
     return total, reachable

@@ -125,6 +125,21 @@ def bfs_dict(adj, source):
     return dist
 
 
+def pair_sums_bfs(edges, node_count, pairs, directed):
+    """(sum of hop distances, reachable count) over the ordered `pairs`, by
+    dict BFS."""
+    adj = adjacency_dicts(edges, node_count, directed)
+    dist = {}
+    total = reachable = 0
+    for s, t in pairs:
+        if s not in dist:
+            dist[s] = bfs_dict(adj, s)
+        if t in dist[s]:
+            total += dist[s][t]
+            reachable += 1
+    return total, reachable
+
+
 def all_pairs_mean_bfs(edges, node_count, directed):
     """(mean distance over reachable ordered pairs, reachable count)."""
     adj = adjacency_dicts(edges, node_count, directed)

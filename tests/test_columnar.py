@@ -259,6 +259,7 @@ def outcome(parse):
 @example(data=b"1\t" + b"1" * 5000 + b"\n")  # int() refuses 4,300+ digits
 @example(data=b"000000000000000000001\t2\n9223372036854775807\t-0\n")
 @example(data=b"\xef\xbb\xbf1\t2\n")  # a UTF-8 BOM is part of the first field
+@example(data=b"00000000000000000000001\t00000000000000000000002\n3\t0000000000000000000004\n")  # flagged in both columns, then in one
 def test_array_parser_agrees_with_line_scan(data, tmp_path_factory):
     path = tmp_path_factory.mktemp("parse") / "edits.tsv"
     path.write_bytes(data)

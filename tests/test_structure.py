@@ -24,6 +24,7 @@ from oracles import (
     all_pairs_mean_floyd_warshall,
     bfs_dict,
     clustering_triple_loop,
+    pair_sums_bfs,
 )
 
 
@@ -107,6 +108,11 @@ class TestSampledClustering:
         assert marks == list(range(100, 1001, 100)) + [1050]
         assert all(0.0 <= m <= 1.0 for _, m in trace.estimates)
         assert trace.final_estimate == trace.estimates[-1][1]
+
+    def test_trace_ends_on_a_stride_multiple_once(self):
+        g = seeded_graph(50, 150, seed=3)
+        for n_samples, marks in ((100, [100]), (200, [100, 200])):
+            assert [s for s, _ in sampled_clustering(g, n_samples, seed=5).estimates] == marks
 
     def test_single_sample_trace(self):
         g = seeded_graph(10, 20, seed=1)
@@ -214,20 +220,6 @@ def test_trace_csv_round_trip_values():
     assert parsed == list(trace.estimates)
 
 
-def _oracle_pair_sums(edges, n, pairs, directed):
-    """(sum of hop distances, reachable count) over pairs, by dict BFS."""
-    adj = adjacency_dicts(edges, n, directed)
-    dist = {}
-    total = reachable = 0
-    for s, t in pairs:
-        if s not in dist:
-            dist[s] = bfs_dict(adj, s)
-        if t in dist[s]:
-            total += dist[s][t]
-            reachable += 1
-    return total, reachable
-
-
 def _drawn_pairs(n, n_pairs, seed):
     """The ordered pairs sampled_avg_path draws for (n, n_pairs, seed)."""
     rng = np.random.default_rng(seed)
@@ -267,7 +259,7 @@ class TestMultiSourceBfs:
         edges = [tuple(e) for e in g.edges().tolist()]
         res = sampled_avg_path(g, 1, seed=0, directed=directed, exhaustive=True)
         pairs = [(s, t) for s in range(150) for t in range(150) if s != t]
-        total, reachable = _oracle_pair_sums(edges, 150, pairs, directed)
+        total, reachable = pair_sums_bfs(edges, 150, pairs, directed)
         assert res.reachable_pairs == reachable
         assert res.mean_path_length == total / reachable
         assert res.sampled_pairs == len(pairs)
@@ -279,7 +271,7 @@ class TestMultiSourceBfs:
         edges = [tuple(e) for e in g.edges().tolist()]
         res = sampled_avg_path(g, n_pairs, seed=17, directed=directed)
         pairs = _drawn_pairs(150, n_pairs, 17)
-        total, reachable = _oracle_pair_sums(edges, 150, pairs, directed)
+        total, reachable = pair_sums_bfs(edges, 150, pairs, directed)
         assert res.reachable_pairs == reachable
         if reachable:
             assert res.mean_path_length == total / reachable
@@ -291,7 +283,7 @@ class TestMultiSourceBfs:
         edges = [tuple(e) for e in g.edges().tolist()]
         for directed in (True, False):
             res = sampled_avg_path(g, 3000, seed=4, directed=directed)
-            total, reachable = _oracle_pair_sums(edges, 300, _drawn_pairs(300, 3000, 4), directed)
+            total, reachable = pair_sums_bfs(edges, 300, _drawn_pairs(300, 3000, 4), directed)
             assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
 
     def test_edgeless_graph(self, regime):
@@ -346,7 +338,7 @@ class TestWordsInFlight:
         pairs = _drawn_pairs(600, 5000, 23)
         assert len({s for s, _ in pairs}) > 512
         res = sampled_avg_path(BRIDGED, 5000, seed=23, directed=directed)
-        total, reachable = _oracle_pair_sums(BRIDGED_EDGES, 600, pairs, directed)
+        total, reachable = pair_sums_bfs(BRIDGED_EDGES, 600, pairs, directed)
         assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
 
     @pytest.mark.parametrize("directed", [True, False])
