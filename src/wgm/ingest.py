@@ -9,9 +9,9 @@ physical line number.
 Every file is read whole and parsed in numpy by one parser, driven by the
 file's column table (`NODE_COLUMNS` and the like): the numeric columns
 into an `(n, m)` int64 array, each text column kept as byte ranges of the
-file, decoded only when read. Only the rows numpy cannot decode (a sign
-in an id, a token of 19 or more digits, a bad row) go through the table's
-field parsers, one row at a time, which parse them or name the line.
+file, decoded only when read. numpy decodes every valid field: signed,
+zero-padded and up to 19 significant digits; the table's field parsers
+only name the first bad line.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ __all__ = [
 MAIN_NAMESPACE = 0
 # ids and namespaces are int64: they lie in [INT64_MIN, INT64_MAX]
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
-# the widest token the array parser converts; 10**18 - 1 fits int64
-FAST_DIGITS = 18
+# the most digits a field keeps after its leading zeros; 10**19 - 1 fits uint64
+FAST_DIGITS = 19
 _COMMENT_LINE = re.compile(rb"\n#[^\n]*")
 
 
@@ -193,39 +193,45 @@ def _rows(data: bytes) -> np.ndarray:
     return buf[~blank] if blank.any() else buf
 
 
-def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, fits=None) -> np.ndarray | None:
-    """The int64 values of the decimal fields of `widths` bytes that end
-    before `ends`; None if a field is not 1 to FAST_DIGITS digits, unless
-    the mask `fits` is given, which has the empty and the wide fields
-    cleared: then such fields read garbage and are cleared in `fits`."""
-    if fits is None and ends.size and not 1 <= widths.min() <= widths.max() <= FAST_DIGITS:
-        return None
-    values = np.zeros(ends.shape, dtype=np.int64)
-    for place in range(min(int(widths.max()), FAST_DIGITS) if ends.size else 0):
-        # the byte `place + 1` before each field's end; fields narrower than
-        # that read another field's byte (or wrap around), masked to 0.
-        # uint8 wraps, so every byte but a digit reads above 9
-        digit = (buf[ends - (place + 1)] - np.uint8(ord("0"))) * (widths > place)
-        if fits is not None:
-            fits &= digit <= 9
-        elif digit.max() > 9:
-            return None
-        values += digit.astype(np.int64) * 10**place
-    return values
+def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The uint64 values of the decimal fields of `widths` bytes that end
+    before `ends`, and the mask of those of 1 to FAST_DIGITS digits."""
+    top = int(widths.max(initial=1))
+    values = np.zeros(ends.shape, dtype=np.uint16)
+    worst = np.zeros(ends.shape, dtype=np.uint8)  # each field's largest digit
+    for place in range(min(top, FAST_DIGITS)):
+        # the byte `place + 1` before each field's end, at place 0 an empty
+        # field's delimiter; every byte but a digit reads above 9 in uint8. A
+        # narrower field reads an earlier byte (or wraps around), masked to 0
+        digit = buf[ends - (place + 1)] - np.uint8(ord("0"))
+        if place:
+            digit *= widths > place
+        np.maximum(worst, digit, out=worst)
+        if place in (4, 9):  # the sum outgrows uint16, then uint32
+            values = values.astype(np.uint32 if place == 4 else np.uint64)
+        values += np.multiply(digit, 10**place, dtype=values.dtype)
+    fits = worst <= 9
+    return values.astype(np.uint64, copy=False), fits & (widths <= FAST_DIGITS) if top > FAST_DIGITS else fits
 
 
-def _numbers(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, parse) -> tuple[np.ndarray, np.ndarray | None]:
-    """`_decimals` of a column parsed by `parse`, a leading `-` allowed if
-    that is `_signed`, and the mask of the rows with a field it cannot
-    decode (whose values are garbage), or None if there is none."""
-    values = _decimals(buf, ends, widths)
-    if values is not None:
-        return values, None
-    minus = (buf[ends - widths] == ord("-")) & (parse is _signed)
-    digits = widths - minus
-    fits = (digits >= 1) & (digits <= FAST_DIGITS)
-    values = _decimals(buf, ends, digits, fits)
-    return np.where(minus, -values, values), ~fits
+def _numbers(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, parse) -> tuple[np.ndarray, int]:
+    """The int64 values of a column parsed by `parse`, and the first row
+    whose field `parse` rejects (or the row count). A second pass, if one is
+    needed, reads a leading `-` and the zeros before the last FAST_DIGITS
+    digits, and keeps int64's range (below zero only `-0` for `_unsigned`)."""
+    values, fits = _decimals(buf, ends, widths)
+    if not (fits.all() and values.max(initial=0) <= INT64_MAX):
+        minus = buf[ends - widths] == ord("-")
+        digits = widths - minus
+        wide = np.flatnonzero(digits > FAST_DIGITS)
+        if wide.size:  # a wide field whose leading bytes are all 0 keeps its last FAST_DIGITS
+            bounds = np.column_stack([ends[wide] - digits[wide], ends[wide] - FAST_DIGITS]).ravel()
+            zeros = np.logical_and.reduceat(buf[bounds[0] : bounds[-1]] == ord("0"), bounds[:-1] - bounds[0])
+            digits[wide[zeros[::2]]] = FAST_DIGITS
+        values, fits = _decimals(buf, ends, digits)
+        fits &= values <= (np.uint64(INT64_MAX) + minus if parse is _signed else np.uint64(INT64_MAX) * ~minus)
+        values = np.where(minus, -values.view(np.int64), values.view(np.int64))  # INT64_MIN wraps to itself
+    return values.view(np.int64), int(np.argmin(fits)) if not fits.all() else len(fits)
 
 
 def _lf(data: bytes) -> bytes:
@@ -246,7 +252,7 @@ def _data_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
 def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, path: str | None = None) -> Parsed:
     """A file's numeric columns as an `(n, m)` int64 array and its text
     columns, from its bytes, whose lines end at LF, CRLF or a lone CR. The
-    rows numpy cannot decode go through the column table's field parsers.
+    column table's field parsers name the first bad field.
     A bad line (invalid UTF-8, a wrong field count, a bad field, a repeated
     first column given `duplicate`, in that order) raises once the lines
     before it parse."""
@@ -277,15 +283,13 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
     texts = [Titles(buf, ends[j] - widths[j], ends[j]) for j in range(k) if j not in numeric]
     decoded = [_numbers(buf, ends[j], widths[j], columns[j][1]) for j in numeric]
     values = np.column_stack([column for column, _ in decoded])
-    flagged = sorted({row for _, bad in decoded if bad is not None for row in np.flatnonzero(bad).tolist()})
-    lines, starts = _data_lines(data) if flagged else (None, None)
-    for row in flagged:
+    row = min(bad for _, bad in decoded)
+    if row < len(values):  # the first row with a field numpy cannot decode: its parsers name the error
+        lines, starts = _data_lines(data)
+        _parse(data[: starts[row]], columns, duplicate, path)  # an earlier bad line raises first
         fields = zip(buf[ends[0, row] - widths[0, row] : ends[-1, row]].tobytes().decode("utf-8").split("\t"), columns)
-        try:
-            values[row] = [parse(value, what, int(lines[row]), path) for value, (what, parse) in fields if parse]
-        except ParseError:
-            _parse(data[: starts[row]], columns, duplicate, path)
-            raise
+        [parse(value, what, int(lines[row]), path) for value, (what, parse) in fields if parse]
+        raise AssertionError(f"line {lines[row]} of {path}: numpy rejects a row that its field parsers accept")
     ids = values[:, 0]
     if duplicate and (np.diff(np.sort(ids)) == 0).any():
         _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)

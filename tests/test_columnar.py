@@ -8,8 +8,10 @@ bit, which the JSON bytes of `render` make visible (-0.0 included).
 """
 
 import math
+import sys
 
 import numpy as np
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -33,11 +35,14 @@ from wgm.ingest import (
     DUPLICATE_NODE,
     EDGE_COLUMNS,
     EDIT_COLUMNS,
+    INT64_MAX,
+    INT64_MIN,
     NAME_COLUMNS,
     NODE_COLUMNS,
     CategoryMap,
     NodeTable,
     _parse,
+    _signed,
     load_category_map,
     load_edges,
     load_edit_log,
@@ -214,8 +219,12 @@ def scan_ints(path, columns=EDIT_COLUMNS):
     return scan(path, columns)[0]
 
 
-# pieces a field can be made of: plain ids, and everything the line scan
-# must judge (signs, blanks, CR, comments, non-UTF-8 bytes, 19+ digits)
+# the fields the second decode pass owns: padded, signed, past the int64 bounds
+PADDED_AND_SIGNED = [b"-0000000000000000000000", b"-00000000000000000000001", b"0000000000000000009223372036854775808",
+                     b"-09223372036854775808", b"10000000000000000000"]
+# pieces a field can be made of: plain ids, and the fields the array parser
+# must decode or reject as the line scan does (signs, padding, 19+ digits,
+# blanks, CR, comments, non-UTF-8 bytes)
 field_pieces = st.one_of(
     st.integers(0, 10**18 - 1).map(lambda n: str(n).encode()),
     st.integers(0, 2**64).map(lambda n: str(n).encode()),
@@ -223,6 +232,7 @@ field_pieces = st.one_of(
     st.sampled_from(
         [b"", b"0", b"007", b"-1", b"-0", b"+1", b" 1", b"1 ", b"#", b"\r", b"\xff", b"\xc3\xa9", b"\xe2\x82",
          b"000000000000000000001", b"9223372036854775807", b"9223372036854775808", b"1_0", b"\x00", b"\x0c"]
+        + PADDED_AND_SIGNED
     ),
 )
 raw_lines = st.one_of(
@@ -298,7 +308,7 @@ id_pieces = st.one_of(
     st.integers(0, 2**64).map(lambda n: str(n).encode()),
     st.sampled_from(
         [b"1" * 18, b"1" * 19, b"9223372036854775807", b"9223372036854775808", b"9" * 25, b"007",
-         b"000000000000000000003", b"-0", b"-1", b"+1", b"", b" 1", b"\xd9\xa3"]
+         b"000000000000000000003", b"-0", b"-1", b"+1", b"", b" 1", b"\xd9\xa3"] + PADDED_AND_SIGNED
     ),
 )
 title_pieces = st.one_of(
@@ -312,7 +322,7 @@ namespace_pieces = st.one_of(
     st.integers(0, 15).map(lambda n: str(n).encode()),
     st.sampled_from(
         [b"-1", b"-0", b"-14", b"007", b"-9223372036854775808", b"-9223372036854775809", b"9223372036854775808",
-         b"1" * 19, b"", b"1.0", b"+2"]
+         b"1" * 19, b"", b"1.0", b"+2"] + PADDED_AND_SIGNED
     ),
 )
 node_rows = st.one_of(
@@ -400,6 +410,91 @@ def test_node_parser_takes_well_formed_files(rows, comments, blanks, final_newli
     fast = parse_nodes(data, path)
     assert node_outcome(lambda: fast) == ("ok", [r[0] for r in rows], [r[2] for r in rows], [r[1] for r in rows])
     assert node_outcome(lambda: scan_nodes(path)) == node_outcome(lambda: fast)
+
+
+# --- valid input: numpy decodes every field, no field parser runs ------------
+
+
+def signed_calls(parse):
+    """`parse()` and the number of calls it made to `wgm.ingest._signed`, which
+    `_unsigned` calls too."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is _signed.__code__
+
+    sys.setprofile(count)
+    try:
+        result = parse()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+# files whose every numeric field is valid and has 19 digits, a sign or
+# zero padding to 25 bytes
+ODD_EDITS = b"".join(
+    [
+        b"9223372036854775807\t-0\n",
+        b"-0000000000000000000000\t1000000000000000000\n",
+        b"42".rjust(25, b"0") + b"\t" + b"7".rjust(25, b"0") + b"\n",
+        b"1234567890123456789\t0009223372036854775807\n",
+    ]
+)
+ODD_NODES = b"".join(
+    [
+        b"9223372036854775807\tA\t-9223372036854775808\n",
+        b"-0\tB\t-0000000000000000000000014\n",
+        b"42".rjust(25, b"0") + b"\tC\t1234567890123456789\n",
+        b"1000000000000000000\tD\t-0009223372036854775807\n",
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "data, columns, duplicate",
+    [(ODD_EDITS, EDIT_COLUMNS, None), (ODD_NODES, NODE_COLUMNS, DUPLICATE_NODE)],
+    ids=["edits", "nodes"],
+)
+def test_valid_fields_decode_without_the_field_parsers(data, columns, duplicate, tmp_path):
+    path = tmp_path / "table.tsv"
+    path.write_bytes(data)
+    parsed, calls = signed_calls(lambda: table_outcome(lambda: _parse(data, columns, duplicate, str(path))))
+    assert parsed[0] == "ok" and parsed == table_outcome(lambda: scan(path, columns, duplicate))
+    assert calls == 0
+
+
+def test_a_rejected_row_that_the_field_parsers_accept_is_a_bug(monkeypatch):
+    monkeypatch.setattr("wgm.ingest._numbers", lambda buf, ends, widths, parse: (ends.astype(np.int64), 1))
+    with pytest.raises(AssertionError, match="line 3 of edits.tsv"):
+        _parse(b"1\t2\n# note\n3\t4\n", EDIT_COLUMNS, None, "edits.tsv")
+
+
+def spelled(value, zeros, minus):
+    """`value` in decimal with `zeros` zeros after its sign; a 0 with a `-` if `minus`."""
+    return ("-" if value < 0 or minus and value == 0 else "") + "0" * zeros + str(abs(value))
+
+
+valid_ids = st.builds(spelled, st.integers(0, 9) | st.integers(0, INT64_MAX), st.integers(0, 30), st.booleans())
+valid_namespaces = st.builds(
+    spelled, st.integers(-9, 9) | st.integers(INT64_MIN, INT64_MAX), st.integers(0, 30), st.booleans()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edits=st.lists(st.tuples(valid_ids, valid_ids), max_size=20),
+    nodes=st.lists(st.tuples(valid_ids, clean_titles, valid_namespaces), max_size=20, unique_by=lambda r: int(r[0])),
+)
+def test_valid_files_never_reach_the_field_parsers(edits, nodes, tmp_path_factory):
+    for rows, columns, duplicate in [(edits, EDIT_COLUMNS, None), (nodes, NODE_COLUMNS, DUPLICATE_NODE)]:
+        data = "".join("\t".join(row) + "\n" for row in rows).encode()
+        path = tmp_path_factory.mktemp("parse") / "table.tsv"
+        path.write_bytes(data)
+        parsed, calls = signed_calls(lambda: table_outcome(lambda: _parse(data, columns, duplicate, str(path))))
+        assert parsed == table_outcome(lambda: scan(path, columns, duplicate))
+        assert parsed[0] == "ok" and calls == 0
 
 
 # --- the category names: array parser against the line scan -----------------
