@@ -163,8 +163,8 @@ def _unsigned(value: str, what: str, lineno: int, path) -> int:
     return n
 
 
-# each file's columns: (name in error messages, parser of a numeric field numpy
-# cannot decode, None for a text column)
+# each file's columns: (name in error messages, parser that names a rejected
+# numeric field's error, None for a text column)
 Columns = tuple[tuple[str, Callable[[str, str, int, object], int] | None], ...]
 NODE_COLUMNS: Columns = (("id", _unsigned), ("title", None), ("namespace", _signed))
 EDGE_COLUMNS: Columns = (("source id", _unsigned), ("target id", _unsigned))
@@ -210,28 +210,26 @@ def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> tuple[np
         if place in (4, 9):  # the sum outgrows uint16, then uint32
             values = values.astype(np.uint32 if place == 4 else np.uint64)
         values += np.multiply(digit, 10**place, dtype=values.dtype)
-    fits = worst <= 9
-    return values.astype(np.uint64, copy=False), fits & (widths <= FAST_DIGITS) if top > FAST_DIGITS else fits
+    return values.astype(np.uint64, copy=False), (worst <= 9) & (widths <= FAST_DIGITS)
 
 
 def _numbers(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray, parse) -> tuple[np.ndarray, int]:
     """The int64 values of a column parsed by `parse`, and the first row
-    whose field `parse` rejects (or the row count). A second pass, if one is
-    needed, reads a leading `-` and the zeros before the last FAST_DIGITS
-    digits, and keeps int64's range (below zero only `-0` for `_unsigned`)."""
+    whose field `parse` rejects (or the row count). It reads a leading `-`,
+    drops the zeros before a field's last FAST_DIGITS digits (`widths` becomes
+    the digits read) and keeps int64's range (below 0 none for `_unsigned`)."""
+    minus = buf[ends - widths] == ord("-")
+    widths -= minus
+    wide = np.flatnonzero(widths > FAST_DIGITS)
+    if wide.size:  # a wide field whose leading bytes are all 0 keeps its last FAST_DIGITS
+        bounds = np.column_stack([ends[wide] - widths[wide], ends[wide] - FAST_DIGITS]).ravel()
+        zeros = np.logical_and.reduceat(buf[bounds[0] : bounds[-1]] == ord("0"), bounds[:-1] - bounds[0])
+        widths[wide[zeros[::2]]] = FAST_DIGITS
     values, fits = _decimals(buf, ends, widths)
-    if not (fits.all() and values.max(initial=0) <= INT64_MAX):
-        minus = buf[ends - widths] == ord("-")
-        digits = widths - minus
-        wide = np.flatnonzero(digits > FAST_DIGITS)
-        if wide.size:  # a wide field whose leading bytes are all 0 keeps its last FAST_DIGITS
-            bounds = np.column_stack([ends[wide] - digits[wide], ends[wide] - FAST_DIGITS]).ravel()
-            zeros = np.logical_and.reduceat(buf[bounds[0] : bounds[-1]] == ord("0"), bounds[:-1] - bounds[0])
-            digits[wide[zeros[::2]]] = FAST_DIGITS
-        values, fits = _decimals(buf, ends, digits)
-        fits &= values <= (np.uint64(INT64_MAX) + minus if parse is _signed else np.uint64(INT64_MAX) * ~minus)
-        values = np.where(minus, -values.view(np.int64), values.view(np.int64))  # INT64_MIN wraps to itself
-    return values.view(np.int64), int(np.argmin(fits)) if not fits.all() else len(fits)
+    fits &= values <= (np.uint64(INT64_MAX) + minus if parse is _signed else np.uint64(INT64_MAX) * ~minus)
+    values = values.view(np.int64)
+    np.negative(values, out=values, where=minus)  # INT64_MIN wraps to itself
+    return values, int(np.argmin(fits)) if not fits.all() else len(fits)
 
 
 def _lf(data: bytes) -> bytes:
@@ -287,7 +285,8 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
     if row < len(values):  # the first row with a field numpy cannot decode: its parsers name the error
         lines, starts = _data_lines(data)
         _parse(data[: starts[row]], columns, duplicate, path)  # an earlier bad line raises first
-        fields = zip(buf[ends[0, row] - widths[0, row] : ends[-1, row]].tobytes().decode("utf-8").split("\t"), columns)
+        start = ends[-1, row - 1] + 1 if row else 0  # `widths` now counts the digits decoded
+        fields = zip(buf[start : ends[-1, row]].tobytes().decode("utf-8").split("\t"), columns)
         [parse(value, what, int(lines[row]), path) for value, (what, parse) in fields if parse]
         raise AssertionError(f"line {lines[row]} of {path}: numpy rejects a row that its field parsers accept")
     ids = values[:, 0]

@@ -219,7 +219,7 @@ def scan_ints(path, columns=EDIT_COLUMNS):
     return scan(path, columns)[0]
 
 
-# the fields the second decode pass owns: padded, signed, past the int64 bounds
+# fields that take the sign and zero-padding steps of the decode, or pass int64
 PADDED_AND_SIGNED = [b"-0000000000000000000000", b"-00000000000000000000001", b"0000000000000000009223372036854775808",
                      b"-09223372036854775808", b"10000000000000000000"]
 # pieces a field can be made of: plain ids, and the fields the array parser
