@@ -7,6 +7,8 @@ config and fixed inputs is byte-reproducible.
 
 Exit codes: 0 success, 2 usage error (an --out or a stdout that cannot be written
 included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
+`main(argv)` returns the code. `run()`, behind `python -m wgm.cli` and `wgm`, flushes
+and ends the process with `os._exit`: no `atexit` handler or interpreter teardown runs.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def _write(text: str, out: str | None) -> None:
         else:
             Path(out).write_text(text, encoding="utf-8", newline="\n")
     except OSError as err:
-        if out is None:  # what stays buffered now goes nowhere, so shutdown's flush cannot fail again
+        if out is None:  # what stays buffered now goes nowhere, so a later flush cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _unwritable(out, err) from None
 
@@ -515,5 +517,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> None:
+    """Exit with `main()`'s code once stdout and stderr are flushed, skipping teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as err:  # only what `main` wrote without `_write` can still be buffered
+        print(f"error: {_unwritable(None, err)}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

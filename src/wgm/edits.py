@@ -141,9 +141,10 @@ def resolve_edits(
     author, article = np.divmod(keys[starts], span)
     if wide:
         author, article = author_ids[author], article_ids[article]
-    # one row per (pair, selected category of its article)
+    # one row per (pair, selected category of its article): its article's map rows from lo on, 0 if none
+    count = np.diff(_run_starts(member_article), append=member_article.size)
     lo = np.searchsorted(member_article, article, side="left")
-    width = np.searchsorted(member_article, article, side="right") - lo
+    width = np.where(np.append(member_article, 0)[lo] == article, np.append(np.repeat(count, count), 0)[lo], 0)
     first = np.cumsum(width) - width
     member_row = np.arange(int(width.sum())) - np.repeat(first - lo, width)
     # the pairs run author-major, so an author's rank counts the author changes before it

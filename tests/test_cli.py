@@ -624,7 +624,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("unbuffered", [None, "1"])
     @pytest.mark.parametrize("command", ["paths", "report", "synth"])
     def test_full_stdout_is_2(self, tmp_path, command, unbuffered):
-        # a fresh process, so interpreter shutdown's own flush of stdout runs too
+        # a fresh process, so `wgm.cli.run`'s own flush of stdout before `os._exit` runs too
         data = Path(__file__).parent / "data"
         args = ["--nodes", str(data / "nodes.tsv"), "--edges", str(data / "edges.tsv"), "--pairs", "5"]
         if command == "synth":
@@ -664,6 +664,92 @@ class TestExitCodes:
             monkeypatch.setenv("WGM_THREADS", value)
             assert run(capsys, *argv) == expected
         assert expected[0] == 0
+
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).parent / "data"
+
+
+def spawn(*argv, **kwargs):
+    """`python argv` in a child, with this checkout's `src` first on PYTHONPATH."""
+    env = kwargs.pop("env", os.environ)
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])))
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
+
+
+class TestProcessExit:
+    """A `wgm` process gives what an in-process `main()` call gives: the
+    same exit code, stdout bytes and one-line stderr."""
+
+    @staticmethod
+    def exit_inputs(tmp_path):
+        """One argv for each exit code."""
+        nodes, edges = write_cycle_fixture(tmp_path)
+        (tmp_path / "bad.tsv").write_text("0\t1\nx\t2\n", encoding="utf-8")
+        (tmp_path / "empty.tsv").write_text("", encoding="utf-8")
+        data = ["--nodes", str(DATA / "nodes.tsv"), "--edges", str(DATA / "edges.tsv")]
+        return {
+            0: ["paths", *data, "--pairs", "50"],
+            2: ["paths", *data, "--pairs", "0"],
+            3: ["degrees", "--nodes", nodes, "--edges", str(tmp_path / "bad.tsv")],
+            4: ["degrees", "--nodes", str(tmp_path / "empty.tsv"), "--edges", str(tmp_path / "empty.tsv")],
+            5: ["fit", "--nodes", nodes, "--edges", edges, "--xmin", "50"],
+        }
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4, 5])
+    def test_child_equals_main(self, tmp_path, capsys, code):
+        argv = self.exit_inputs(tmp_path)[code]
+        proc = spawn("-m", "wgm.cli", *argv)
+        want = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (want[0], want[1].encode(), want[2])
+        assert want[0] == code and want[2].count("\n") == (code != 0)
+
+    def test_out_file_equals_main(self, tmp_path, capsys):
+        data = {name: str(DATA / f"{name}.tsv") for name in ("nodes", "edges", "edits", "catmap", "catnames")}
+        argv = ["report", *(arg for name, path in data.items() for arg in (f"--{name}", path)), "--pairs", "200"]
+        proc = spawn("-m", "wgm.cli", *argv, "--out", str(tmp_path / "child.json"))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert run(capsys, *argv, "--out", str(tmp_path / "main.json")) == (0, "", "")
+        assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    def test_closed_pipe_is_2(self):
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before the first write
+        argv = ["report", "--nodes", str(DATA / "nodes.tsv"), "--edges", str(DATA / "edges.tsv")]
+        try:
+            proc = spawn("-m", "wgm.cli", *argv, stdout=writer)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"error: cannot write stdout") and proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_full_stdout_is_2(self):
+        # argparse leaves the help in the buffer and ignores write errors, so `run`'s flush meets the full disk
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = spawn("-m", "wgm.cli", "--help", stdout=full, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"error: cannot write stdout") and proc.stderr.count(b"\n") == 1
+
+    def test_escaping_exception_is_a_traceback_and_1(self):
+        proc = spawn("-c", "import wgm.cli as cli\ncli.main = lambda: 1 / 0\ncli.run()")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(b"Traceback") and proc.stderr.rstrip().endswith(b"ZeroDivisionError: division by zero")
+
+    def test_no_atexit_handler_runs(self):
+        code = "import atexit, sys, wgm.cli as cli\natexit.register(print, 'teardown')\nsys.argv[1:] = ['--help']\ncli.run()"
+        proc = spawn("-c", code)
+        assert proc.returncode == 0 and proc.stdout.startswith(b"usage: wgm")
+        assert b"teardown" not in proc.stdout
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library from Python 3.11")
+    def test_console_script_is_run(self):
+        import tomllib
+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        assert project["project"]["scripts"]["wgm"] == "wgm.cli:run"
 
 
 class TestSizeCaps:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from wgm.errors import (
     EmptyProfile,
     InvalidFraction,
 )
-from wgm.ingest import CategoryMap, EditRecord
+from wgm.ingest import CategoryMap, EditRecord, load_category_map, load_edit_log
 from wgm.synth import generate_zipf_edits
 
 from oracles import entropy_direct, resolve_double_loop, resolve_edits_unique, share_of_top
@@ -77,6 +78,7 @@ class TestResolveEdits:
 
 
 INT64_MAX = 2**63 - 1
+DATA = Path(__file__).parent / "data"
 
 
 @st.composite
@@ -131,6 +133,27 @@ class TestOneSortResolution:
     def test_no_edits(self):
         catmap = CategoryMap(article_to_categories={5: frozenset([1])}, category_names={1: "c1"})
         assert_same_log(resolve_edits([], catmap, {1}), resolve_edits_unique([], catmap, {1}))
+
+    @pytest.mark.parametrize("shift", [0, -(2**62), 2**62], ids=["keyed", "negative", "too-wide"])
+    def test_articles_missing_from_the_map(self, shift):
+        """An article before, between or after the map's articles, or only in
+        an unselected category, gets no rows, whether the pairs are keyed by
+        id or (negative or too-wide ids) by rank."""
+        membership = {shift + 5: frozenset([1, 2]), shift + 9: frozenset([2]), shift + 11: frozenset([3])}
+        catmap = CategoryMap(article_to_categories=membership, category_names={})
+        records = [(3, 2), (3, 5), (4, 7), (4, 9), (4, 11), (4, 9), (3, 12)]
+        records = [(author, shift + article) for author, article in records]
+        want = resolve_edits_unique(records, catmap, {1, 2})
+        assert_same_log(resolve_edits(records, catmap, {1, 2}), want)
+        assert want.resolved == {(3, 1): 1, (3, 2): 1, (4, 2): 2}
+
+    @pytest.mark.parametrize("every", [1, 2], ids=["all-categories", "every-other-category"])
+    def test_fixture_equals_unique_reference(self, every):
+        records = load_edit_log(DATA / "edits.tsv")
+        catmap = load_category_map(DATA / "catmap.tsv", DATA / "catnames.tsv")
+        selected = frozenset(sorted(catmap.categories())[::every])
+        assert_same_log(resolve_edits(records, catmap, selected), resolve_edits_unique(records, catmap, selected))
+
 
 class TestEditsPerAuthor:
     def test_reference_arithmetic(self):
