@@ -5,6 +5,9 @@ cluster, paths, fit, categories, entropy), the synthetic generators
 (synth), and a combined JSON report (report). Every run with a fixed
 config and fixed inputs is byte-reproducible.
 
+Each parameter is one `RunConfig` field, holding its default, flag and parser
+settings. `_write` writes and flushes every stdout byte, `--help` included.
+
 Exit codes: 0 success, 2 usage error (an --out or a stdout that cannot be written
 included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
 `main(argv)` returns the code. `run()`, behind `python -m wgm.cli` and `wgm`, flushes
@@ -18,7 +21,7 @@ import functools
 import itertools
 import os
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -66,39 +69,48 @@ ACTIVE_COLUMNS = ("active_categories", "author_count")
 REPORT_CONFIG = ("seed", "percentile", "n_samples", "n_pairs", "top_fraction", "x_min", "include_anonymous")
 
 
+def _flag(flag: str, default=None, **spec):
+    """A RunConfig field: its default, and its flag with the flag's argparse settings."""
+    return field(default=default, metadata={flag: spec})
+
+
 @dataclass
 class RunConfig:
-    """Validated parameters for one CLI invocation, and the only place a default is written."""
+    """Validated parameters for one CLI invocation. Each field but `command` is
+    one parameter, the only place its default, flag and parser settings are written."""
 
     command: str
-    nodes: str | None = None
-    edges: str | None = None
-    edits: str | None = None
-    catmap: str | None = None
-    catnames: str | None = None
-    out: str | None = None
-    seed: int = 42
-    percentile: float = 0.90
-    n_samples: int = 50_000
-    n_pairs: int = 20_000
-    top_fraction: float = 0.2
-    x_min: int = 1
-    fmt: str = "json"
-    include_anonymous: bool = False
-    which: str = "total"
-    method: str = "ls"
-    bin_width: float = 0.25
-    undirected: bool = False
-    histogram: str = "entropy"
-    synth_kind: str | None = None
-    n: int = 1000
-    m: int = 3
-    p: float = 0.01
-    n_authors: int = 100
-    n_categories: int = 40
-    total_edits: int = 10_000
-    zipf_s: float = 1.0
-    home_bias: float = 0.8
+    nodes: str | None = _flag("--nodes", help="node table TSV (id, title, namespace)")
+    edges: str | None = _flag("--edges", help="edge list TSV (source_id, target_id)")
+    edits: str | None = _flag("--edits", help="edit log TSV (author_id, article_id)")
+    catmap: str | None = _flag("--catmap", help="article-to-category TSV")
+    catnames: str | None = _flag("--catnames", help="category-name TSV")
+    out: str | None = _flag("--out", help="output path (stdout if omitted)")
+    seed: int = _flag("--seed", 42, type=int)
+    percentile: float = _flag("--percentile", 0.90, type=float)
+    n_samples: int = _flag("--samples", 50_000, type=int)
+    n_pairs: int = _flag("--pairs", 20_000, type=int)
+    top_fraction: float = _flag("--top-fraction", 0.2, type=float)
+    x_min: int = _flag("--xmin", 1, type=int)
+    fmt: str = _flag("--format", "json", choices=("csv", "json"))
+    include_anonymous: bool = _flag("--include-anonymous", False, action="store_true")
+    which: str = _flag("--which", "total", choices=deg.SELECTORS)
+    method: str = _flag("--method", "ls", choices=("ls", "mle"))
+    bin_width: float = _flag("--bin-width", 0.25, type=float)
+    undirected: bool = _flag("--undirected", False, action="store_true", help="use the undirected projection")
+    histogram: str = _flag(
+        "--histogram", "entropy", choices=("entropy", "active", "max-share"),
+        help="which histogram the csv format exports (--bin-width sets the entropy one)",
+    )
+    synth_kind: str | None = _flag("--kind", choices=("preferential", "uniform", "zipf-edits"), required=True)
+    n: int = _flag("--n", 1000, type=int, help="node count for graph kinds")
+    m: int = _flag("--m", 3, type=int, help="edges per new node (preferential)")
+    p: float = _flag("--p", 0.01, type=float, help="edge probability (uniform)")
+    n_authors: int = _flag("--authors", 100, type=int)
+    n_categories: int = _flag("--categories", 40, type=int)
+    total_edits: int = _flag("--edits-total", 10_000, type=int)
+    zipf_s: float = _flag("--zipf-s", 1.0, type=float)
+    home_bias: float = _flag("--home-bias", 0.8, type=float)
 
     def _expected_edges(self) -> float:
         """The edge count `synth` would generate for a valid graph spec; 0
@@ -414,38 +426,8 @@ def _cmd_report(cfg: RunConfig) -> None:
     _write(render(report), cfg.out)
 
 
-# each flag once, with its RunConfig field as dest and no default: RunConfig holds every default
-FLAGS = {
-    "--nodes": dict(dest="nodes", help="node table TSV (id, title, namespace)"),
-    "--edges": dict(dest="edges", help="edge list TSV (source_id, target_id)"),
-    "--edits": dict(dest="edits", help="edit log TSV (author_id, article_id)"),
-    "--catmap": dict(dest="catmap", help="article-to-category TSV"),
-    "--catnames": dict(dest="catnames", help="category-name TSV"),
-    "--out": dict(dest="out", help="output path (stdout if omitted)"),
-    "--format": dict(dest="fmt", choices=("csv", "json")),
-    "--seed": dict(dest="seed", type=int),
-    "--which": dict(dest="which", choices=deg.SELECTORS),
-    "--percentile": dict(dest="percentile", type=float),
-    "--samples": dict(dest="n_samples", type=int),
-    "--pairs": dict(dest="n_pairs", type=int),
-    "--undirected": dict(dest="undirected", action="store_true", help="use the undirected projection"),
-    "--xmin": dict(dest="x_min", type=int),
-    "--method": dict(dest="method", choices=("ls", "mle")),
-    "--top-fraction": dict(dest="top_fraction", type=float),
-    "--include-anonymous": dict(dest="include_anonymous", action="store_true"),
-    "--bin-width": dict(dest="bin_width", type=float),
-    "--histogram": dict(dest="histogram", choices=("entropy", "active", "max-share"),
-                        help="which histogram the csv format exports (--bin-width sets the entropy one)"),
-    "--kind": dict(dest="synth_kind", choices=("preferential", "uniform", "zipf-edits"), required=True),
-    "--n": dict(dest="n", type=int, help="node count for graph kinds"),
-    "--m": dict(dest="m", type=int, help="edges per new node (preferential)"),
-    "--p": dict(dest="p", type=float, help="edge probability (uniform)"),
-    "--authors": dict(dest="n_authors", type=int),
-    "--categories": dict(dest="n_categories", type=int),
-    "--edits-total": dict(dest="total_edits", type=int),
-    "--zipf-s": dict(dest="zipf_s", type=float),
-    "--home-bias": dict(dest="home_bias", type=float),
-}
+# each flag's argparse settings, with its RunConfig field as dest and no default: the field holds it
+FLAGS = {flag: dict(spec, dest=f.name) for f in fields(RunConfig) for flag, spec in f.metadata.items()}
 
 
 class Command(NamedTuple):
@@ -485,10 +467,14 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one-line usage errors (exit 2)."""
+    """An argument parser whose errors are one-line usage errors (exit 2) and
+    whose help text is written by `_write`, as every other stdout byte is."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        _write(self.format_help(), None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,13 +504,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit with `main()`'s code once stdout and stderr are flushed, skipping teardown."""
+    """Exit with `main()`'s code once stdout and stderr are flushed, skipping teardown.
+    `_write` has flushed every stdout byte, or sent what it could not write to the null
+    device, so the flush of stdout cannot fail."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as err:  # only what `main` wrote without `_write` can still be buffered
-        print(f"error: {_unwritable(None, err)}", file=sys.stderr)
-        code = 2
+    sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
 

@@ -37,13 +37,14 @@ class DomainError(WgmError):
 
 
 class ParseError(InputFormatError):
-    """A line could not be parsed; carries the 1-based line number."""
+    """A line could not be parsed; carries the 1-based line number, or with
+    `unit="record"` the number of the data record where the line is not known."""
 
-    def __init__(self, line: int, reason: str, path: str | None = None):
+    def __init__(self, line: int, reason: str, path: str | None = None, unit: str = "line"):
         self.line = line
         self.reason = reason
         self.path = path
-        where = f"{path}:{line}" if path else f"line {line}"
+        where = f"{unit} {line}" if not path else f"{path}:{line}" if unit == "line" else f"{path}: {unit} {line}"
         super().__init__(f"{where}: {reason}")
 
 

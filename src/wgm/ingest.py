@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -304,10 +305,9 @@ def _read(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None
         return _parse(fh.read(), columns, duplicate, str(path))
 
 
-def _record_line(path: str | os.PathLike, ordinal: int) -> int:
-    """The physical line of the file's `ordinal`-th (1-based) data record."""
-    with open(path, "rb") as fh:
-        lines = _data_lines(_lf(fh.read()))[0]
+def _record_line(data: bytes, ordinal: int) -> int:
+    """The physical line of the `ordinal`-th (1-based) data record of a file's bytes."""
+    lines = _data_lines(_lf(data))[0]
     return int(lines[ordinal - 1]) if ordinal <= len(lines) else ordinal
 
 
@@ -337,11 +337,13 @@ def load_edit_log(path: str | os.PathLike) -> np.ndarray:
 def load_category_map(path_map: str | os.PathLike, path_names: str | os.PathLike) -> CategoryMap:
     """Parse `article_id<TAB>category_id` plus `category_id<TAB>name`."""
     name_ids, (names,) = _read(path_names, NAME_COLUMNS, DUPLICATE_CATEGORY)
-    pairs = _read(path_map, MAP_COLUMNS)[0]
+    with open(path_map, "rb") as fh:  # read once: a pipe or FIFO cannot be read again to name a line
+        data = fh.read()
+    pairs = _parse(data, MAP_COLUMNS, path=str(path_map))[0]
     named = np.isin(pairs[:, 1], name_ids[:, 0])
     if not named.all():
         row = int(np.argmin(named))
-        line = _record_line(path_map, row + 1)
+        line = _record_line(data, row + 1)
         raise UnnamedCategory(line, f"category {pairs[row, 1]} has no name entry", str(path_map))
     return CategoryMap(category_names=dict(zip(name_ids[:, 0].tolist(), names)), pairs=pairs)
 
@@ -355,7 +357,9 @@ def filter_main_namespace(
     edge array). Edges touching a removed node are dropped; an edge
     referencing an id absent from the node table raises
     :class:`UnknownNodeInEdge` at its ordinal, or, given the `path` the
-    edges were read from, at its physical line in that file.
+    edges were read from, at its physical line in that file. A `path` that
+    is not a regular file (a pipe or FIFO) is not read again: the error then
+    names the edge's record number in it, not a line.
     """
     ids = nodes.id
     main = nodes.namespace == MAIN_NAMESPACE
@@ -375,7 +379,11 @@ def filter_main_namespace(
         reason = f"edge references unknown node id {bad}"
         if path is None:
             raise UnknownNodeInEdge(row + 1, reason)
-        raise UnknownNodeInEdge(_record_line(path, row + 1), reason, str(path))
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise UnknownNodeInEdge(row + 1, reason, str(path), unit="record")
+        with open(path, "rb") as fh:
+            line = _record_line(fh.read(), row + 1)
+        raise UnknownNodeInEdge(line, reason, str(path))
     mapped = new_id[order[at]]
     k = int(main.sum())
     kept = NodeTable(np.arange(k, dtype=np.int64), np.full(k, MAIN_NAMESPACE, dtype=np.int64), nodes.titles[main])

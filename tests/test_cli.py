@@ -1,10 +1,12 @@
+import contextlib
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -674,8 +676,28 @@ def spawn(*argv, **kwargs):
     """`python argv` in a child, with this checkout's `src` first on PYTHONPATH."""
     env = kwargs.pop("env", os.environ)
     env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])))
-    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
-    return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "timeout": 120, **kwargs}
+    return subprocess.run([sys.executable, *argv], env=env, **kwargs)
+
+
+@contextlib.contextmanager
+def fifo_holding(path, data):
+    """A FIFO at `path` that a thread writes `data` into once, for the first
+    reader that opens it."""
+    os.mkfifo(path)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # a writer still waiting for a reader gets one
+        writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 class TestProcessExit:
@@ -725,13 +747,33 @@ class TestProcessExit:
         assert proc.stderr.startswith(b"error: cannot write stdout") and proc.stderr.count(b"\n") == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_help_to_full_stdout_is_2(self):
-        # argparse leaves the help in the buffer and ignores write errors, so `run`'s flush meets the full disk
+    @pytest.mark.parametrize("unbuffered", [None, "1"])
+    @pytest.mark.parametrize("argv", [["--help"], ["report", "--help"]], ids=["wgm", "report"])
+    def test_help_to_full_stdout_is_2(self, argv, unbuffered):
+        # the help text goes through `_write`, whose flush meets the full disk whether stdout is buffered or not
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
         with open("/dev/full", "w") as full:
-            proc = spawn("-m", "wgm.cli", "--help", stdout=full, env=env)
+            proc = spawn("-m", "wgm.cli", *argv, stdout=full, env=env)
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: cannot write stdout") and proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flag", ["--edges", "--catmap"])
+    def test_fifo_input_is_read_once(self, tmp_path, flag):
+        # a FIFO read to its end has no writer left: opening it again to find a line would wait forever
+        nodes, _ = write_cycle_fixture(tmp_path)
+        edits, _, catnames = write_edit_fixture(tmp_path)
+        if flag == "--edges":
+            argv, data = ["degrees", "--nodes", nodes], b"# edges\n0\t1\n1\t9\n"
+            want = "{}: record 2: edge references unknown node id 9"
+        else:
+            argv, data = ["categories", "--edits", edits, "--catnames", catnames], b"# map\n10\t5\n11\t7\n"
+            want = "{}:3: category 7 has no name entry"
+        with fifo_holding(tmp_path / "fifo", data) as fifo:
+            proc = spawn("-m", "wgm.cli", *argv, flag, fifo, timeout=30)
+        assert (proc.returncode, proc.stderr.decode()) == (3, f"error: {want.format(fifo)}\n")
 
     def test_escaping_exception_is_a_traceback_and_1(self):
         proc = spawn("-c", "import wgm.cli as cli\ncli.main = lambda: 1 / 0\ncli.run()")
@@ -883,6 +925,11 @@ class TestParser:
         names = set(RunConfig.__dataclass_fields__)
         for flag, spec in FLAGS.items():
             assert spec["dest"] in names and "default" not in spec, flag
+
+    def test_each_field_but_command_has_its_own_flag(self):
+        assert [f.name for f in fields(RunConfig) if len(f.metadata) != 1] == ["command"]
+        names = sorted(f.name for f in fields(RunConfig) if f.name != "command")
+        assert sorted(spec["dest"] for spec in FLAGS.values()) == names  # no two fields share a flag
 
     @pytest.mark.parametrize(
         "kind, sizes", [("preferential", ["--n", "1000"]), ("uniform", ["--n", "1000", "--p", "0.01"])]

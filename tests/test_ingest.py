@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import numpy as np
 import pytest
 from conftest import node_records, node_table
@@ -33,6 +36,20 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+@contextlib.contextmanager
+def _pipe(data):
+    """The `/dev/fd` path of a pipe holding `data`, whose writer has closed."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("needs /dev/fd")
+    reader, writer = os.pipe()
+    os.write(writer, data)
+    os.close(writer)
+    try:
+        yield f"/dev/fd/{reader}"
+    finally:
+        os.close(reader)
 
 
 class TestLoadNodes:
@@ -125,6 +142,12 @@ class TestLoadCategoryMap:
             load_category_map(path, _write(tmp_path, "names.tsv", "2\tsci\n"))
         assert (err.value.line, err.value.path) == (4, str(path))
 
+    def test_unnamed_category_in_a_pipe_at_its_physical_line(self, tmp_path):
+        # the map is read once, and its line found in the bytes parsed: a pipe cannot be read again
+        with _pipe(b"# map\n5\t2\n6\t3\n") as path, pytest.raises(UnnamedCategory) as err:
+            load_category_map(path, _write(tmp_path, "names.tsv", "2\tsci\n"))
+        assert (err.value.line, err.value.path) == (3, path)
+
     def test_duplicate_category_id_names_both_lines(self, tmp_path):
         names = _write(tmp_path, "names.tsv", "5\tfirst\n# again\n5\tsecond\n")
         with pytest.raises(DuplicateCategoryId) as err:
@@ -198,6 +221,12 @@ class TestFilterMainNamespace:
             filter_main_namespace(nodes, load_edges(path), path=path)
         assert (err.value.line, err.value.path) == (4, str(path))
         assert "unknown node id 3" in str(err.value)
+
+    def test_unknown_node_given_a_pipe_names_its_record(self):
+        nodes = node_table([NodeRecord(0, "a", 0), NodeRecord(1, "b", 0)])
+        with _pipe(b"# edges\n0\t1\n\n1\t3\n") as path, pytest.raises(UnknownNodeInEdge) as err:
+            filter_main_namespace(nodes, load_edges(path), path=path)
+        assert str(err.value) == f"{path}: record 2: edge references unknown node id 3"
 
     def test_ids_far_apart_need_no_id_sized_table(self):
         big = 2**62
