@@ -6,19 +6,23 @@ cluster, paths, fit, categories, entropy), the synthetic generators
 config and fixed inputs is byte-reproducible.
 
 Each parameter is one `RunConfig` field, holding its default, flag and parser
-settings. `_write` writes and flushes every stdout byte, `--help` included.
+settings. `_write` is the only code that touches stdout: it writes and flushes every
+byte, `--help` included. `main` is the only code that touches stderr.
 
-Exit codes: 0 success, 2 usage error (an --out or a stdout that cannot be written
-included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
-`main(argv)` returns the code. `run()`, behind `python -m wgm.cli` and `wgm`, flushes
-and ends the process with `os._exit`: no `atexit` handler or interpreter teardown runs.
+Exit codes: 0 success, 2 usage error (an --out or a stdout that cannot be written,
+or is closed, included), 3 parse error, 4 empty-input error, 5 numeric-domain error.
+`main(argv)` returns the code and writes one `error:` line, unless stderr is closed.
+`run()`, behind `python -m wgm.cli` and `wgm`, ends the process with `os._exit(main())`:
+nothing is left to flush, and no `atexit` handler or interpreter teardown runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -142,6 +146,7 @@ class RunConfig:
             (0.0 < self.top_fraction <= 1.0, f"--top-fraction must be in (0, 1], got {self.top_fraction}"),
             (self.x_min >= 1, f"--xmin must be >= 1, got {self.x_min}"),
             (self.bin_width >= MIN_BIN_WIDTH, f"--bin-width must be >= {MIN_BIN_WIDTH}, got {self.bin_width}"),
+            (math.isfinite(self.bin_width), f"--bin-width must be finite, got {self.bin_width}"),
             (self.command != "report" or self.fmt == "json", "`report` writes JSON only, not --format csv"),
         ]
         for ok, message in checks:
@@ -262,14 +267,14 @@ def _unwritable(out, err: OSError) -> UsageError:
 
 def _write(text: str, out: str | None) -> None:
     try:
-        if out is None:
+        if out is not None:
+            Path(out).write_text(text, encoding="utf-8", newline="\n")
+        elif sys.stdout is None:  # fd 1 was closed when the process started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
             sys.stdout.write(text)
             sys.stdout.flush()
-        else:
-            Path(out).write_text(text, encoding="utf-8", newline="\n")
     except OSError as err:
-        if out is None:  # what stays buffered now goes nowhere, so a later flush cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _unwritable(out, err) from None
 
 
@@ -372,28 +377,25 @@ def _cmd_synth(cfg: RunConfig) -> None:
     outdir = Path(cfg.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise _unwritable(outdir, err) from None
-
-    if cfg.synth_kind == "zipf-edits":
-        data = sy.generate_zipf_edits(
-            cfg.n_authors, cfg.n_categories, cfg.total_edits, cfg.zipf_s, cfg.seed, cfg.home_bias
-        )
-        write_edit_log(data.records, outdir / "edits.tsv")
-        write_category_map(data.category_map, outdir / "catmap.tsv", outdir / "catnames.tsv")
-        written = ["edits.tsv", "catmap.tsv", "catnames.tsv"]
-    else:
-        if cfg.synth_kind == "preferential":
-            graph = sy.generate_preferential(cfg.n, cfg.m, cfg.seed)
+        if cfg.synth_kind == "zipf-edits":
+            data = sy.generate_zipf_edits(
+                cfg.n_authors, cfg.n_categories, cfg.total_edits, cfg.zipf_s, cfg.seed, cfg.home_bias
+            )
+            write_edit_log(data.records, outdir / "edits.tsv")
+            write_category_map(data.category_map, outdir / "catmap.tsv", outdir / "catnames.tsv")
+            written = ["edits.tsv", "catmap.tsv", "catnames.tsv"]
         else:
-            graph = sy.generate_uniform(cfg.n, cfg.p, cfg.seed)
-        write_nodes(
-            (NodeRecord(i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv"
-        )
-        edges = graph.edges()
-        blocks = (edges[i : i + SYNTH_BLOCK].tolist() for i in range(0, len(edges), SYNTH_BLOCK))
-        write_edges(itertools.chain.from_iterable(blocks), outdir / "edges.tsv")
-        written = ["nodes.tsv", "edges.tsv"]
+            if cfg.synth_kind == "preferential":
+                graph = sy.generate_preferential(cfg.n, cfg.m, cfg.seed)
+            else:
+                graph = sy.generate_uniform(cfg.n, cfg.p, cfg.seed)
+            write_nodes((NodeRecord(i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv")
+            edges = graph.edges()
+            blocks = (edges[i : i + SYNTH_BLOCK].tolist() for i in range(0, len(edges), SYNTH_BLOCK))
+            write_edges(itertools.chain.from_iterable(blocks), outdir / "edges.tsv")
+            written = ["nodes.tsv", "edges.tsv"]
+    except OSError as err:  # the directory, or the file under it that cannot be written
+        raise _unwritable(err.filename or outdir, err) from None
 
     _write(render({"out_dir": str(outdir), "written": written, "seed": cfg.seed}), None)
 
@@ -494,23 +496,18 @@ def main(argv: list[str] | None = None) -> int:
         COMMANDS[cfg.command].run(cfg)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except WgmError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    except (WgmError, OSError) as err:
+        if sys.stderr is not None:  # closed at start: the exit code alone reports the error
+            print(f"error: {err}", file=sys.stderr)
+        return err.exit_code if isinstance(err, WgmError) else 3
     return 0
 
 
 def run() -> None:
-    """Exit with `main()`'s code once stdout and stderr are flushed, skipping teardown.
-    `_write` has flushed every stdout byte, or sent what it could not write to the null
-    device, so the flush of stdout cannot fail."""
-    code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    """End the process with `main()`'s code, skipping teardown. Nothing is left to flush:
+    `_write` has flushed every stdout byte, and stderr is line-buffered and gets whole lines;
+    what a failed write left in the stdout buffer is dropped."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -316,8 +316,8 @@ def entropy_report(log: EditLog) -> EntropyReport:
 
 
 def _bin_values(values: Sequence[float] | np.ndarray, bin_width: float) -> list[tuple[float, float, int]]:
-    if bin_width <= 0:
-        raise DomainError(f"bin_width must be > 0, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise DomainError(f"bin_width must be finite and > 0, got {bin_width}")
     values = np.asarray(values, dtype=np.float64)
     span = float(values.max()) / bin_width
     if not span < MAX_HISTOGRAM_BINS:

@@ -356,10 +356,10 @@ def filter_main_namespace(
     Returns (the kept nodes, with ids 0..k-1, and the remapped `(n, 2)`
     edge array). Edges touching a removed node are dropped; an edge
     referencing an id absent from the node table raises
-    :class:`UnknownNodeInEdge` at its ordinal, or, given the `path` the
-    edges were read from, at its physical line in that file. A `path` that
-    is not a regular file (a pipe or FIFO) is not read again: the error then
-    names the edge's record number in it, not a line.
+    :class:`UnknownNodeInEdge` naming the edge's record number (1-based),
+    or, given the `path` of a regular file the edges were read from, its
+    physical line in that file. A `path` that is not a regular file (a pipe
+    or FIFO) is not read again: the error names the record number in it.
     """
     ids = nodes.id
     main = nodes.namespace == MAIN_NAMESPACE
@@ -377,10 +377,8 @@ def filter_main_namespace(
         row = int(np.argmin(known.all(axis=1)))
         bad = int(arr[row, 0] if not known[row, 0] else arr[row, 1])
         reason = f"edge references unknown node id {bad}"
-        if path is None:
-            raise UnknownNodeInEdge(row + 1, reason)
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            raise UnknownNodeInEdge(row + 1, reason, str(path), unit="record")
+        if path is None or not stat.S_ISREG(os.stat(path).st_mode):
+            raise UnknownNodeInEdge(row + 1, reason, path and str(path), unit="record")
         with open(path, "rb") as fh:
             line = _record_line(fh.read(), row + 1)
         raise UnknownNodeInEdge(line, reason, str(path))

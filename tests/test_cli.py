@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import errno
+import io
 import json
 import math
 import os
@@ -457,6 +459,14 @@ class TestSynth:
         assert code == 2
         assert str(blocker / "sub") in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, blocked", [("preferential", "nodes.tsv"), ("zipf-edits", "edits.tsv")])
+    def test_synth_unwritable_file_is_2(self, tmp_path, capsys, kind, blocked):
+        (tmp_path / blocked).mkdir()  # a directory where the file should go
+        sizes = ("--n", "10", "--m", "2") if kind == "preferential" else ("--authors", "5", "--edits-total", "20")
+        code, out, err = run(capsys, "synth", "--kind", kind, *sizes, "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert str(tmp_path / blocked) in err and err.startswith("error: cannot write") and err.count("\n") == 1
+
     def test_synth_requires_out(self, capsys):
         code, _, err = run(capsys, "synth", "--kind", "uniform", "--n", "10", "--p", "0.1")
         assert code == 2
@@ -626,7 +636,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("unbuffered", [None, "1"])
     @pytest.mark.parametrize("command", ["paths", "report", "synth"])
     def test_full_stdout_is_2(self, tmp_path, command, unbuffered):
-        # a fresh process, so `wgm.cli.run`'s own flush of stdout before `os._exit` runs too
+        # a fresh process, which `wgm.cli.run` ends with `os._exit` as soon as `main` returns
         data = Path(__file__).parent / "data"
         args = ["--nodes", str(data / "nodes.tsv"), "--edges", str(data / "edges.tsv"), "--pairs", "5"]
         if command == "synth":
@@ -759,6 +769,49 @@ class TestProcessExit:
         assert proc.returncode == 2
         assert proc.stderr.startswith(b"error: cannot write stdout") and proc.stderr.count(b"\n") == 1
 
+    @pytest.mark.parametrize("help_", [True, False], ids=["help", "paths"])
+    def test_closed_stdout_is_2(self, tmp_path, help_):
+        # Python sets `sys.stdout` to None when fd 1 is closed at start
+        argv = ["--help"] if help_ else self.exit_inputs(tmp_path)[0]
+        proc = spawn("-m", "wgm.cli", *argv, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(b"error: cannot write stdout: ") and proc.stderr.count(b"\n") == 1
+
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, capsys):
+        # with fd 2 closed at start the exit code alone reports an error, and stdout gets no diagnostic
+        argv = self.exit_inputs(tmp_path)[0]
+        proc = spawn("-m", "wgm.cli", *argv, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (0, run(capsys, *argv)[1].encode())
+        missing = ["paths", "--nodes", str(tmp_path / "missing.tsv"), "--edges", str(tmp_path / "missing.tsv")]
+        proc = spawn("-m", "wgm.cli", *missing, preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (3, b"")
+
+    def test_failing_stdout_in_process_is_2(self, tmp_path, capsys):
+        # `main` called as a library names the failed write and leaves the caller's fd 1 as it was
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        before = os.fstat(1)
+        with contextlib.redirect_stdout(FullStdout()):
+            code = main(self.exit_inputs(tmp_path)[0])
+        assert (code, capsys.readouterr().err) == (2, "error: cannot write stdout: No space left on device\n")
+        assert os.path.samestat(before, os.fstat(1))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_in_process_keeps_fd_1(self, tmp_path):
+        code = (
+            "import os, sys, wgm.cli\n"
+            "before = os.fstat(1)\n"
+            f"code = wgm.cli.main({self.exit_inputs(tmp_path)[0]!r})\n"
+            "print(code, os.path.samestat(before, os.fstat(1)), file=sys.stderr)\n"
+            "os._exit(0)\n"  # what the failed write left buffered would fail again at teardown
+        )
+        with open("/dev/full", "w") as full:
+            proc = spawn("-c", code, stdout=full)
+        assert proc.returncode == 0
+        assert proc.stderr == b"error: cannot write stdout: No space left on device\n2 True\n"
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("flag", ["--edges", "--catmap"])
     def test_fifo_input_is_read_once(self, tmp_path, flag):
@@ -809,6 +862,8 @@ class TestSizeCaps:
             ("entropy", "--bin-width", "5e-324"),
             ("entropy", "--bin-width", "nan"),
             ("report", "--bin-width", str(MIN_BIN_WIDTH / 2)),
+            ("entropy", "--bin-width", "inf"),
+            ("report", "--bin-width", "inf"),
         ],
     )
     def test_exit_2_before_io(self, tmp_path, capsys, argv):

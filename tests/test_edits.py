@@ -390,6 +390,11 @@ class TestHistogramAndCsv:
         with pytest.raises(DomainError):
             entropy_histogram(entropy_report(log), bin_width=width)
 
+    def test_infinite_width_is_a_domain_error(self):
+        # one bin [0, inf) would hold every author, and its upper bound is no JSON number
+        with pytest.raises(DomainError, match="finite"):
+            entropy_histogram(entropy_report(make_log([(1, 0), (1, 1)])), math.inf)
+
     def test_entropy_histogram_csv_header(self):
         text = render(entropy_histogram(entropy_report(make_log([(1, 0)]))), "csv", BIN_COLUMNS)
         assert text == "bin_lower,bin_upper,author_count\n0.0,0.25,1\n"

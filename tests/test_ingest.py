@@ -211,6 +211,7 @@ class TestFilterMainNamespace:
         with pytest.raises(UnknownNodeInEdge) as err:
             filter_main_namespace(node_table([NodeRecord(0, "a", 0)]), [(0, 0), (0, 99)])
         assert err.value.line == 2
+        assert str(err.value) == "record 2: edge references unknown node id 99"  # a list has records, not lines
 
     @pytest.mark.parametrize("end", LINE_ENDS, ids=LINE_END_IDS)
     def test_unknown_node_given_the_path_names_file_and_physical_line(self, tmp_path, end):

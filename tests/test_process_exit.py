@@ -1,10 +1,12 @@
-"""One way out of a `wgm` process: `wgm.cli.run` ends it with `os._exit`
-once its output is flushed. Nothing else in `src/wgm` ends the process, so
-a program that calls `wgm` as a library keeps running after each call.
+"""One way out of a `wgm` process: `wgm.cli.run` ends it with `os._exit`.
+Nothing else in `src/wgm` ends the process, so a program that calls `wgm`
+as a library keeps running after each call.
 
-One writer of stdout: `wgm.cli._write` writes and flushes every stdout
-byte, and names a write that fails. So `run`'s own flush of stdout finds
-nothing left to write."""
+One owner per stream: `wgm.cli._write` is the only code that touches
+stdout, and it writes and flushes every byte; `wgm.cli.main` is the only
+code that touches stderr, and it writes one whole line. So `run` has
+nothing to flush before it exits, and no other code can leave a byte
+buffered or fail on a closed stream."""
 
 import ast
 from pathlib import Path
@@ -40,14 +42,20 @@ def exit_names(node):
     return []
 
 
-def stdout_writes(node):
-    """The ways `node` writes to stdout: a `print` call without
-    `file=sys.stderr`, and a use of `sys.stdout.write` or `sys.stdout.writelines`."""
+# the names of each standard stream, as an attribute of `sys`
+STREAMS = {"stdout": "sys.stdout", "__stdout__": "sys.stdout", "stderr": "sys.stderr", "__stderr__": "sys.stderr"}
+
+
+def stream_uses(node):
+    """The standard streams `node` touches: a use of `sys.stdout` or
+    `sys.stderr` (or `sys.__stdout__`, `sys.__stderr__`), importing one of
+    them by name, and a `print` call without `file=`, which writes stdout."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sys":
+        return [STREAMS[node.attr]] if node.attr in STREAMS else []
+    if isinstance(node, ast.ImportFrom) and node.module == "sys":
+        return [STREAMS[alias.name] for alias in node.names if alias.name in STREAMS]
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
-        target = next((ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"), None)
-        return [] if target == "sys.stderr" else ["print"]
-    if isinstance(node, ast.Attribute) and node.attr in ("write", "writelines") and ast.unparse(node.value) == "sys.stdout":
-        return [f"sys.stdout.{node.attr}"]
+        return [] if any(kw.arg == "file" for kw in node.keywords) else ["sys.stdout"]
     return []
 
 
@@ -98,23 +106,33 @@ def test_src_exits_once_in_cli_run():
     assert src_scan(exit_names) == [("cli", "run", "os._exit")], "only `wgm.cli.run` may end the process, and only once"
 
 
-def test_scan_finds_each_stdout_write():
+def test_scan_finds_each_stream_use():
     code = (
         "import sys\n"
         "print('a')\n"
-        "def f():\n    print('b', file=sys.stderr)\n    print('c', file=sys.stdout)\n"
-        "class C:\n    def g(self):\n        sys.stdout.write('d')\n"
+        "def f():\n    print('b', file=sys.stderr)\n    print('c', file=sys.stdout)\n    print('d', file=log)\n"
+        "class C:\n    def g(self):\n        sys.stdout.write('e')\n"
         "lines = sys.stdout.writelines\n"
-        "sys.stderr.write('e')\n"
-        "sys.stdout.flush()\n"
+        "sys.stderr.flush()\n"
+        "if sys.stdout is None: pass\n"
+        "from sys import stderr, argv, __stdout__\n"
+        "sys.argv = sys.__stderr__\n"
     )
-    assert scan(ast.parse(code), stdout_writes) == [
-        ("", 2, "print"),
-        ("f", 5, "print"),
-        ("C.g", 8, "sys.stdout.write"),
-        ("", 9, "sys.stdout.writelines"),
+    assert scan(ast.parse(code), stream_uses) == [
+        ("", 2, "sys.stdout"),
+        ("f", 4, "sys.stderr"),
+        ("f", 5, "sys.stdout"),
+        ("C.g", 9, "sys.stdout"),
+        ("", 10, "sys.stdout"),
+        ("", 11, "sys.stderr"),
+        ("", 12, "sys.stdout"),
+        ("", 13, "sys.stderr"),
+        ("", 13, "sys.stdout"),
+        ("", 14, "sys.stderr"),
     ]
 
 
-def test_src_writes_stdout_only_in_cli_write():
-    assert src_scan(stdout_writes) == [("cli", "_write", "sys.stdout.write")], "only `wgm.cli._write` may write stdout"
+def test_src_touches_each_stream_in_one_function():
+    assert set(src_scan(stream_uses)) == {("cli", "_write", "sys.stdout"), ("cli", "main", "sys.stderr")}, (
+        "only `wgm.cli._write` may touch stdout, and only `wgm.cli.main` stderr"
+    )
