@@ -19,6 +19,7 @@ nothing is left to flush, and no `atexit` handler or interpreter teardown runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import itertools
@@ -498,7 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (WgmError, OSError) as err:
         if sys.stderr is not None:  # closed at start: the exit code alone reports the error
-            print(f"error: {err}", file=sys.stderr)
+            with contextlib.suppress(OSError):  # so it does when the line cannot be written
+                print(f"error: {err}", file=sys.stderr)
         return err.exit_code if isinstance(err, WgmError) else 3
     return 0
 

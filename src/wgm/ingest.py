@@ -4,7 +4,8 @@ category maps, plus the main-namespace filter.
 All files are UTF-8, one record per line, fields separated by single
 tabs; a line ends at LF, CRLF or a lone CR. Lines starting with '#' and
 blank lines are skipped. Every parse failure carries its 1-based
-physical line number.
+physical line number. The rows parsed and every line number reported,
+after the parse too, come from one scan of the line starts, `_lines`.
 
 Every file is read whole and parsed in numpy by one parser, driven by the
 file's column table (`NODE_COLUMNS` and the like): the numeric columns
@@ -17,7 +18,6 @@ only name the first bad line.
 from __future__ import annotations
 
 import os
-import re
 import stat
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -56,7 +56,6 @@ MAIN_NAMESPACE = 0
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # the most digits a field keeps after its leading zeros; 10**19 - 1 fits uint64
 FAST_DIGITS = 19
-_COMMENT_LINE = re.compile(rb"\n#[^\n]*")
 
 
 class NodeRecord(NamedTuple):
@@ -179,19 +178,14 @@ DUPLICATE_CATEGORY: Duplicate = (DuplicateCategoryId, "category id {} already na
 Parsed = tuple[np.ndarray, list[Titles]]
 
 
-def _rows(data: bytes) -> np.ndarray:
-    """The bytes of a file without its comment and blank lines, each row
-    ending in a newline."""
-    if b"#" in data:
-        # a comment line goes with the newline before it; the first line gets one
-        data = _COMMENT_LINE.sub(b"", b"\n" + data)
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    newline = buf == ord("\n")
-    blank = newline.copy()  # a newline at the start or right after another
-    blank[1:] &= newline[:-1]
-    return buf[~blank] if blank.any() else buf
+def _lines(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LF-ended `data` as a uint8 array that ends in a newline, the offset of
+    each line's first byte, and the mask of the data lines: those whose first
+    byte is neither a newline (a blank line) nor '#' (a comment)."""
+    buf = np.frombuffer(data if data.endswith(b"\n") else data + b"\n", dtype=np.uint8)
+    starts = np.concatenate([[0], np.flatnonzero(buf[:-1] == ord("\n")) + 1])  # at 0 and after each newline
+    first = buf[starts]
+    return buf, starts, (first != ord("\n")) & (first != ord("#"))
 
 
 def _decimals(buf: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,13 +233,16 @@ def _lf(data: bytes) -> bytes:
     return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
-def _data_lines(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-based physical line and the offset of the first byte of each
-    data line (neither blank nor a comment) of LF-ended `data`."""
-    buf = np.frombuffer(b"\n" + data, dtype=np.uint8)
-    starts = np.flatnonzero(buf[:-1] == ord("\n"))  # each line's first byte, in `data`
-    kept = np.flatnonzero((buf[starts + 1] != ord("\n")) & (buf[starts + 1] != ord("#")))
-    return kept + 1, starts[kept]
+def _line(
+    data: bytes, columns: Columns, duplicate: Duplicate | None, path: str | None, *, row: int = 0, byte: int = -1
+) -> tuple[int, int]:
+    """The 1-based physical line of LF-ended `data` that holds data row `row`,
+    or, given `byte`, that byte, and the offset of its first byte, once the
+    lines before it parse: an earlier bad line raises first."""
+    _, starts, is_data = _lines(data)
+    at = int(np.flatnonzero(is_data)[row] if byte < 0 else np.searchsorted(starts, byte, side="right") - 1)
+    _parse(data[: starts[at]], columns, duplicate, path)
+    return at + 1, int(starts[at])
 
 
 def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, path: str | None = None) -> Parsed:
@@ -260,11 +257,13 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as err:
-            start = data.rfind(b"\n", 0, err.start) + 1
-            _parse(data[:start], columns, duplicate, path)  # an earlier bad line raises first
-            reason = f"invalid UTF-8 at byte {err.start - start} of the line"
-            raise ParseError(data.count(b"\n", 0, start) + 1, reason, path) from None
-    buf = _rows(data)
+            line, start = _line(data, columns, duplicate, path, byte=err.start)
+            raise ParseError(line, f"invalid UTF-8 at byte {err.start - start} of the line", path) from None
+    buf, starts, is_data = _lines(data)
+    if not is_data.all():  # one copy drops the comment and blank lines, masked by runs of lines
+        runs = np.flatnonzero(np.diff(is_data, prepend=~is_data[0]))  # the first line of each run
+        buf = buf[np.repeat(is_data[runs], np.diff(starts[runs], append=len(buf)))]
+    del starts, is_data  # the decode's peak memory holds no line index
     k = len(columns)
     ends = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
     kinds = buf[ends]
@@ -272,9 +271,8 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
     if rows is None or not ((rows[:, :-1] == ord("\t")).all() and (rows[:, -1] == ord("\n")).all()):
         counts = np.diff(np.flatnonzero(kinds == ord("\n")), prepend=-1)  # each row's field count
         row = int(np.argmin(counts == k))
-        lines, starts = _data_lines(data)
-        _parse(data[: starts[row]], columns, duplicate, path)
-        raise ParseError(int(lines[row]), f"expected {k} tab-separated fields, got {counts[row]}", path)
+        line = _line(data, columns, duplicate, path, row=row)[0]
+        raise ParseError(line, f"expected {k} tab-separated fields, got {counts[row]}", path)
     # one contiguous row per column: numpy decodes a column faster than a strided view of it
     widths = (np.diff(ends, prepend=-1) - 1).reshape(-1, k).T.copy()
     ends = ends.reshape(-1, k).T.copy()
@@ -284,17 +282,16 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
     values = np.column_stack([column for column, _ in decoded])
     row = min(bad for _, bad in decoded)
     if row < len(values):  # the first row with a field numpy cannot decode: its parsers name the error
-        lines, starts = _data_lines(data)
-        _parse(data[: starts[row]], columns, duplicate, path)  # an earlier bad line raises first
+        line = _line(data, columns, duplicate, path, row=row)[0]
         start = ends[-1, row - 1] + 1 if row else 0  # `widths` now counts the digits decoded
         fields = zip(buf[start : ends[-1, row]].tobytes().decode("utf-8").split("\t"), columns)
-        [parse(value, what, int(lines[row]), path) for value, (what, parse) in fields if parse]
-        raise AssertionError(f"line {lines[row]} of {path}: numpy rejects a row that its field parsers accept")
+        [parse(value, what, line, path) for value, (what, parse) in fields if parse]
+        raise AssertionError(f"line {line} of {path}: numpy rejects a row that its field parsers accept")
     ids = values[:, 0]
     if duplicate and (np.diff(np.sort(ids)) == 0).any():
         _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         row = int(np.argmax(first[inverse] != np.arange(len(ids))))  # the first that repeats an earlier row
-        lines, (kind, message) = _data_lines(data)[0], duplicate
+        lines, (kind, message) = np.flatnonzero(_lines(data)[2]) + 1, duplicate
         raise kind(int(lines[row]), message.format(ids[row], lines[first[inverse[row]]]), path)
     return values, texts
 
@@ -307,7 +304,7 @@ def _read(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None
 
 def _record_line(data: bytes, ordinal: int) -> int:
     """The physical line of the `ordinal`-th (1-based) data record of a file's bytes."""
-    lines = _data_lines(_lf(data))[0]
+    lines = np.flatnonzero(_lines(_lf(data))[2]) + 1
     return int(lines[ordinal - 1]) if ordinal <= len(lines) else ordinal
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -786,6 +787,16 @@ class TestProcessExit:
         proc = spawn("-m", "wgm.cli", *missing, preexec_fn=lambda: os.close(2))
         assert (proc.returncode, proc.stdout) == (3, b"")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_full_stderr_keeps_the_exit_code(self, tmp_path, capsys, code):
+        # the `error:` line meets a full disk: the exit code alone reports the error, and stdout is as without it
+        missing = str(tmp_path / "missing.tsv")
+        argv = ["paths", "--nodes", missing, "--edges", missing] if code == 3 else self.exit_inputs(tmp_path)[code]
+        with open("/dev/full", "w") as full:
+            proc = spawn("-m", "wgm.cli", *argv, stderr=full)
+        assert (proc.returncode, proc.stdout) == (code, run(capsys, *argv)[1].encode())
+
     def test_failing_stdout_in_process_is_2(self, tmp_path, capsys):
         # `main` called as a library names the failed write and leaves the caller's fd 1 as it was
         class FullStdout(io.StringIO):
@@ -985,6 +996,11 @@ class TestParser:
         assert [f.name for f in fields(RunConfig) if len(f.metadata) != 1] == ["command"]
         names = sorted(f.name for f in fields(RunConfig) if f.name != "command")
         assert sorted(spec["dest"] for spec in FLAGS.values()) == names  # no two fields share a flag
+
+    def test_every_flag_is_in_the_readme(self):
+        # a new RunConfig field cannot ship undocumented; `--n` is not found in `--nodes`, nor `--edits` in `--edits-total`
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert [flag for flag in FLAGS if not re.search(rf"{re.escape(flag)}(?![\w-])", readme)] == []
 
     @pytest.mark.parametrize(
         "kind, sizes", [("preferential", ["--n", "1000"]), ("uniform", ["--n", "1000", "--p", "0.01"])]

@@ -4,6 +4,9 @@ import os
 import numpy as np
 import pytest
 from conftest import node_records, node_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import data_lines
 
 from wgm.errors import (
     DuplicateCategoryId,
@@ -30,6 +33,21 @@ from wgm.ingest import (
 
 # a line ends at LF, CRLF or a lone CR
 LINE_ENDS, LINE_END_IDS = [b"\n", b"\r\n", b"\r"], ["lf", "crlf", "cr"]
+# ids 0..3 are known (named); 4 and 5 are not
+KNOWN = {0, 1, 2, 3}
+# two-column files in random layouts: records, comment and blank lines anywhere,
+# one line end per file, and a final line end or none
+pair_files = st.tuples(
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)).map(lambda r: b"%d\t%d" % r),
+            st.sampled_from([b"", b"#", b"# note", b"#9\t9"]),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(LINE_ENDS),
+    st.booleans(),
+).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else b""))
 
 
 def _write(tmp_path, name, text):
@@ -222,6 +240,14 @@ class TestFilterMainNamespace:
             filter_main_namespace(nodes, load_edges(path), path=path)
         assert (err.value.line, err.value.path) == (4, str(path))
         assert "unknown node id 3" in str(err.value)
+
+    def test_unknown_node_past_the_files_data_lines_names_its_record_number(self, tmp_path):
+        # edges that are not the file's records: the file has fewer data lines than the bad record's number
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"# edges\n0\t0\n")
+        with pytest.raises(UnknownNodeInEdge) as err:
+            filter_main_namespace(node_table([NodeRecord(0, "a", 0)]), [(0, 0), (0, 99)], path=path)
+        assert (err.value.line, err.value.path) == (2, str(path))
 
     def test_unknown_node_given_a_pipe_names_its_record(self):
         nodes = node_table([NodeRecord(0, "a", 0), NodeRecord(1, "b", 0)])
@@ -442,3 +468,36 @@ class TestStrictDecimals:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {nodes}:2: ")
         assert err.count("\n") == 1
+
+
+class TestLineNumbersAcrossLayouts:
+    """An error found after the parse, in the parsed records, names the line
+    that the line-by-line oracle gives for that record, in any file layout."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=pair_files)
+    def test_unknown_endpoint(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("layout") / "edges.tsv"
+        path.write_bytes(data)
+        nodes = node_table([NodeRecord(i, f"t{i}", i % 2) for i in sorted(KNOWN)])
+        bad = [n for n, line in data_lines(path) if not {int(f) for f in line.split("\t")} <= KNOWN]
+        if not bad:
+            filter_main_namespace(nodes, load_edges(path), path=path)
+            return
+        with pytest.raises(UnknownNodeInEdge) as err:
+            filter_main_namespace(nodes, load_edges(path), path=path)
+        assert (err.value.line, err.value.path) == (bad[0], str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=pair_files)
+    def test_unnamed_category(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("layout") / "catmap.tsv"
+        path.write_bytes(data)
+        names = _write(path.parent, "catnames.tsv", "".join(f"{c}\tc{c}\n" for c in sorted(KNOWN)))
+        bad = [n for n, line in data_lines(path) if int(line.split("\t")[1]) not in KNOWN]
+        if not bad:
+            load_category_map(path, names)
+            return
+        with pytest.raises(UnnamedCategory) as err:
+            load_category_map(path, names)
+        assert (err.value.line, err.value.path) == (bad[0], str(path))
