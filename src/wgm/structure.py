@@ -45,8 +45,9 @@ class PathSampleResult:
     seed: int
 
 
-# Beamer's direction switch: a word of a BFS level pulls over the reverse CSR
-# once its frontier's out-edges exceed 1/alpha of all edges, and pushes otherwise
+# Beamer's direction switch: a BFS level pulls every word of a batch over the
+# reverse CSR once the frontier's out-edges per word exceed 1/alpha of all edges,
+# and pushes every word otherwise
 _PULL_ALPHA = 14
 _LANES = 64  # BFS sources per uint64 word
 _WORDS = 8  # words of sources in flight per BFS batch
@@ -174,38 +175,28 @@ def _pull(row, out, unseen, pull) -> None:
     unseen ^= out
 
 
-def _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg, word_ends):
+def _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg):
     """One BFS level of every word of a batch.
 
     The frontier is its ascending non-zero keys, with their `bits`, or with
-    `bits` None when it is dense in `frontier`. A word pulls once
-    _PULL_ALPHA times its entries' out-edges exceed the edge count
-    (Beamer's test) and pushes otherwise. If no word pulls, the new
-    frontier stays sparse; otherwise it is dense in the returned buffer.
+    `bits` None when it is dense in `frontier`. The whole batch pulls once
+    _PULL_ALPHA times its entries' out-edges exceed the edge count per word
+    (Beamer's test on the batch's mean word) and pushes otherwise. A pushed
+    frontier stays sparse; a pulled one is dense in the returned buffer.
     Returns (keys, bits, frontier, nxt) for the next level.
     """
-    n, words = int(word_ends[1]), word_ends.size - 1
-    degrees = outdeg[keys]
-    pulls = []
-    if _PULL_ALPHA * int(degrees.sum()) > push[1].size:
-        ends = np.searchsorted(keys, word_ends)
-        pulls = [j for j in range(words) if _PULL_ALPHA * int(degrees[ends[j] : ends[j + 1]].sum()) > push[1].size]
-    if bits is None and len(pulls) < words:
-        bits = frontier[keys]
-    if not pulls:
+    n = push[0].size - 1
+    words = unseen.size // n
+    if _PULL_ALPHA * int(outdeg[keys].sum()) <= words * push[1].size:
+        if bits is None:
+            bits = frontier[keys]
         return (*_push(keys, bits, unseen, push, n), frontier, nxt)
     if bits is not None:
         frontier.fill(0)
         frontier[keys] = bits
     nxt.fill(0)
-    pushed = np.ones(keys.size, dtype=bool)
-    for j in pulls:
-        pushed[ends[j] : ends[j + 1]] = False
-        lo, hi = j * n, (j + 1) * n
-        _pull(frontier[lo:hi], nxt[lo:hi], unseen[lo:hi], pull)
-    if len(pulls) < words:
-        pushed_keys, pushed_bits = _push(keys[pushed], bits[pushed], unseen, push, n)
-        nxt[pushed_keys] = pushed_bits
+    for lo in range(0, unseen.size, n):
+        _pull(frontier[lo : lo + n], nxt[lo : lo + n], unseen[lo : lo + n], pull)
     return np.flatnonzero(nxt), None, nxt, frontier
 
 
@@ -238,7 +229,6 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
         lanes = sources[b : b + group]
         lane = np.arange(lanes.size)
         words = -(-lanes.size // _LANES)
-        word_ends = np.arange(words + 1) * n
         unseen, frontier, nxt = (buf[: words * n] for buf in buffers)
         keys = (lane // _LANES) * n + lanes
         bits = np.left_shift(np.uint64(1), (lane % _LANES).astype(np.uint64))
@@ -252,7 +242,7 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
         depth = 0
         while keys.size and (pairs is None or targets.size):
             depth += 1
-            keys, bits, frontier, nxt = _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg, word_ends)
+            keys, bits, frontier, nxt = _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg)
             if pairs is None:
                 hits = int(_POPCOUNT8[(frontier[keys] if bits is None else bits).view(np.uint8)].sum(dtype=np.int64))
             else:

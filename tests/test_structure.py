@@ -342,15 +342,15 @@ class TestWordsInFlight:
         assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
 
     @pytest.mark.parametrize("directed", [True, False])
-    def test_words_switch_direction_within_a_batch(self, directed, monkeypatch):
+    def test_each_level_moves_the_whole_batch_one_way(self, directed, monkeypatch):
         """Each exhaustive batch runs until its frontier is empty; one of them
-        pushes, then pulls, then pushes again, and some level pushes some
-        words while it pulls others."""
+        pushes, then pulls, then pushes again, and no level both pushes some
+        words and pulls others."""
         levels = []
         for name in ("_push", "_pull"):
 
             def spy(*args, _real=getattr(structure, name), _name=name):
-                levels[-1].add(_name)
+                levels[-1].add(_name[1:])
                 return _real(*args)
 
             monkeypatch.setattr(structure, name, spy)
@@ -358,16 +358,15 @@ class TestWordsInFlight:
         def advance(*args, _real=structure._advance):
             levels.append(set())
             keys, *rest = _real(*args)
-            kind = "mixed" if len(levels[-1]) == 2 else levels[-1].pop()[1:]
-            levels[-1] = kind + ("|" if keys.size == 0 else "")
+            levels[-1] = "+".join(sorted(levels[-1])) + ("|" if keys.size == 0 else "")
             return keys, *rest
 
         monkeypatch.setattr(structure, "_advance", advance)
         res = sampled_avg_path(BRIDGED, 1, seed=0, directed=directed, exhaustive=True)
         assert res.reachable_pairs == bridged_all_pairs(directed)[1]
         batches = ",".join(levels).split("|")
-        assert any(re.search(r"push,((pull|mixed),)+push", batch) for batch in batches)
-        assert "mixed" in ",".join(levels)
+        assert any(re.search(r"push,(pull,)+push", batch) for batch in batches)
+        assert {level.rstrip("|") for level in levels} <= {"push", "pull"}
 
 
 def hub_graph():
