@@ -45,9 +45,8 @@ class PathSampleResult:
     seed: int
 
 
-# Beamer's direction switch: a BFS level pulls every word of a batch over the
-# reverse CSR once the frontier's out-edges per word exceed 1/alpha of all edges,
-# and pushes every word otherwise
+# Beamer's direction switch: every word of a batch pulls over the reverse CSR once
+# the frontier's out-edges per word exceed 1/alpha of all edges, else all push
 _PULL_ALPHA = 14
 _LANES = 64  # BFS sources per uint64 word
 _WORDS = 8  # words of sources in flight per BFS batch
@@ -145,11 +144,10 @@ def sampled_clustering(graph: ArticleGraph, n_samples: int, seed: int) -> Cluste
     return ClusteringTrace(estimates=estimates, final_estimate=float(running[-1]), seed=seed)
 
 
-def _push(keys, bits, unseen, push, n):
+def _push(keys, nodes, bits, unseen, push):
     """Push the frontier entries (key, bits), key = word*n + node, along the
     out-edges: the new entries, keys ascending, with their bits cleared
     from `unseen`."""
-    nodes = keys % n
     pos, counts = _expand(push[0], nodes)
     reached = np.repeat(keys - nodes, counts)
     reached += push[1][pos]
@@ -176,21 +174,18 @@ def _pull(row, out, unseen, pull) -> None:
 
 
 def _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg):
-    """One BFS level of every word of a batch.
+    """One BFS level of every word of a batch, all pushing or all pulling.
 
-    The frontier is its ascending non-zero keys, with their `bits`, or with
-    `bits` None when it is dense in `frontier`. The whole batch pulls once
-    _PULL_ALPHA times its entries' out-edges exceed the edge count per word
-    (Beamer's test on the batch's mean word) and pushes otherwise. A pushed
-    frontier stays sparse; a pulled one is dense in the returned buffer.
-    Returns (keys, bits, frontier, nxt) for the next level.
+    The frontier is its ascending non-zero keys with their `bits`, or dense
+    in `frontier` when `bits` is None. Beamer's test on the batch's mean word
+    (see _PULL_ALPHA) picks the direction; a pushed frontier stays sparse, a
+    pulled one is dense in the returned buffer. Returns (keys, bits,
+    frontier, nxt) for the next level.
     """
-    n = push[0].size - 1
-    words = unseen.size // n
-    if _PULL_ALPHA * int(outdeg[keys].sum()) <= words * push[1].size:
-        if bits is None:
-            bits = frontier[keys]
-        return (*_push(keys, bits, unseen, push, n), frontier, nxt)
+    n = outdeg.size
+    nodes = keys % n
+    if _PULL_ALPHA * int(outdeg[nodes].sum()) <= unseen.size // n * push[1].size:
+        return (*_push(keys, nodes, frontier[keys] if bits is None else bits, unseen, push), frontier, nxt)
     if bits is not None:
         frontier.fill(0)
         frontier[keys] = bits
@@ -207,8 +202,8 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
     Bitset multi-source BFS: up to _WORDS * 64 distinct sources run at
     once; source i owns bit i % 64 of word i // 64, and node v of word j
     has the key j*n + v in the dense `unseen` array. Each level pushes or
-    pulls each word (see `_advance`). A batch stops once all its targets
-    are settled.
+    pulls every word of the batch (see `_advance`). A batch stops once all
+    its targets are settled.
     """
     n = push[0].size - 1
     if pairs is None:
@@ -222,7 +217,7 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
     group = _LANES * max(1, min(_WORDS, _DENSE_BUDGET // n))
     size = -(-min(group, sources.size) // _LANES) * n
     buffers = [np.empty(size, dtype=np.uint64) for _ in range(3)]
-    outdeg = np.tile(np.diff(push[0]), size // n)  # out-degree at every key
+    outdeg = np.diff(push[0])
 
     total = reachable = 0
     for b in range(0, sources.size, group):
