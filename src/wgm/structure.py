@@ -145,9 +145,9 @@ def sampled_clustering(graph: ArticleGraph, n_samples: int, seed: int) -> Cluste
 
 
 def _push(keys, nodes, bits, unseen, push):
-    """Push the frontier entries (key, bits), key = word*n + node, along the
-    out-edges: the new entries, keys ascending, with their bits cleared
-    from `unseen`."""
+    """Push the frontier entries (key, bits), key = word*n + node with the
+    node in `nodes`, along the out-edges: the new entries, keys ascending,
+    with their bits cleared from `unseen`."""
     pos, counts = _expand(push[0], nodes)
     reached = np.repeat(keys - nodes, counts)
     reached += push[1][pos]
