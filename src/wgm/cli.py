@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import itertools
 import math
 import os
 import sys
@@ -38,7 +37,6 @@ from . import synth as sy
 from .errors import UsageError, WgmError
 from .graph import ArticleGraph, build_graph, mean_degree
 from .ingest import (
-    NodeRecord,
     filter_main_namespace,
     load_category_map,
     load_edges,
@@ -57,8 +55,6 @@ MAX_SAMPLES = 10_000_000
 MIN_BIN_WIDTH = ed.HISTOGRAM_VALUE_BOUND / ed.MAX_HISTOGRAM_BINS
 # `synth` sizes: nodes, authors, categories, edits and the expected edge count
 MAX_SYNTH = 10_000_000
-# edge rows `synth` turns into Python ints at a time, so that no list of every edge is built
-SYNTH_BLOCK = 65_536
 
 # CSV columns of the commands whose export is a table
 DEGREE_COLUMNS = ("degree", "count")
@@ -212,12 +208,9 @@ def _json(value, pad: str = "\n") -> str:
     if kind is bool:
         return "true" if value else "false"
     deeper = pad + "  "
-    if kind is list or kind is tuple:
-        items, ends = [_json(item, deeper) for item in value], "[]"
-    elif kind is dict and all(isinstance(key, int) for key in value):
-        row = deeper + "  "
-        items = [f"[{row}{_json(key, row)},{row}{_json(value[key], row)}{deeper}]" for key in sorted(value)]
-        ends = "[]"
+    if kind is list or kind is tuple or (kind is dict and all(isinstance(key, int) for key in value)):
+        rows = [[key, value[key]] for key in sorted(value)] if kind is dict else value
+        items, ends = [_json(row, deeper) for row in rows], "[]"
     elif kind is dict or (names := _names(kind)) is not None:
         pairs = sorted(value.items()) if kind is dict else [(name, getattr(value, name)) for name in names]
         items, ends = [encode_basestring_ascii(key) + ": " + _json(item, deeper) for key, item in pairs], "{}"
@@ -390,10 +383,8 @@ def _cmd_synth(cfg: RunConfig) -> None:
                 graph = sy.generate_preferential(cfg.n, cfg.m, cfg.seed)
             else:
                 graph = sy.generate_uniform(cfg.n, cfg.p, cfg.seed)
-            write_nodes((NodeRecord(i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv")
-            edges = graph.edges()
-            blocks = (edges[i : i + SYNTH_BLOCK].tolist() for i in range(0, len(edges), SYNTH_BLOCK))
-            write_edges(itertools.chain.from_iterable(blocks), outdir / "edges.tsv")
+            write_nodes(((i, f"v{i}", 0) for i in range(graph.node_count)), outdir / "nodes.tsv")
+            write_edges(graph.edges(), outdir / "edges.tsv")
             written = ["nodes.tsv", "edges.tsv"]
     except OSError as err:  # the directory, or the file under it that cannot be written
         raise _unwritable(err.filename or outdir, err) from None

@@ -56,6 +56,8 @@ MAIN_NAMESPACE = 0
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 # the most digits a field keeps after its leading zeros; 10**19 - 1 fits uint64
 FAST_DIGITS = 19
+# array rows the writers turn into Python ints at a time, so that no list of every row is built
+WRITE_BLOCK = 65_536
 
 
 class NodeRecord(NamedTuple):
@@ -385,28 +387,30 @@ def filter_main_namespace(
     return kept, mapped[(mapped >= 0).all(axis=1)]
 
 
+def _write_rows(rows: Iterable[tuple] | np.ndarray, line: str, path: str | os.PathLike) -> None:
+    """Write `line % row` for each of `rows`: tuples, or the rows of a 2-D
+    array, read as Python ints WRITE_BLOCK rows at a time."""
+    if isinstance(rows, np.ndarray):
+        array = rows  # the generator reads `array` lazily, after `rows` is rebound
+        blocks = (array[i : i + WRITE_BLOCK].tolist() for i in range(0, len(array), WRITE_BLOCK))
+        rows = map(tuple, chain.from_iterable(blocks))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            fh.write(line % row)
+
+
 def write_nodes(records: Iterable[NodeRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(f"{rec.id}\t{rec.title}\t{rec.namespace}\n")
+    _write_rows(records, "%s\t%s\t%s\n", path)
 
 
-def write_edges(edges: Iterable[tuple[int, int]], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for src, dst in edges:
-            fh.write(f"{src}\t{dst}\n")
+def write_edges(edges: Iterable[tuple[int, int]] | np.ndarray, path: str | os.PathLike) -> None:
+    _write_rows(edges, "%s\t%s\n", path)
 
 
-def write_edit_log(records: Iterable[EditRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(f"{rec.author_id}\t{rec.article_id}\n")
+def write_edit_log(records: Iterable[EditRecord] | np.ndarray, path: str | os.PathLike) -> None:
+    _write_rows(records, "%s\t%s\n", path)
 
 
 def write_category_map(catmap: CategoryMap, path_map: str | os.PathLike, path_names: str | os.PathLike) -> None:
-    with open(path_names, "w", encoding="utf-8", newline="\n") as fh:
-        for cat_id in sorted(catmap.category_names):
-            fh.write(f"{cat_id}\t{catmap.category_names[cat_id]}\n")
-    with open(path_map, "w", encoding="utf-8", newline="\n") as fh:
-        for article, cat in zip(catmap.article.tolist(), catmap.category.tolist()):
-            fh.write(f"{article}\t{cat}\n")
+    _write_rows(sorted(catmap.category_names.items()), "%s\t%s\n", path_names)
+    _write_rows(zip(catmap.article.tolist(), catmap.category.tolist()), "%s\t%s\n", path_map)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyGraph, SingleNode
-from .graph import ArticleGraph, _keys, _run_starts
+from .graph import ArticleGraph, _csr, _keys, _run_starts
 
 __all__ = [
     "ClusteringTrace",
@@ -80,10 +80,8 @@ def _coefficients(graph: ArticleGraph) -> np.ndarray:
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
     up = np.repeat(rank, deg) < rank[indices]
-    tail = indices[up]
     keys = _keys(indptr, indices)[up]  # a*n + b, ascending
-    optr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=optr[1:])
+    optr, tail = _csr(keys, n)
     wedges = np.cumsum(np.diff(optr)[tail])
 
     triangles = np.zeros(n, dtype=np.int64)

@@ -492,3 +492,34 @@ def scan(path, columns, duplicate=None):
     fields = list(zip(*rows)) or [()] * len(columns)
     values = np.array([fields[j] for j in numeric], dtype=np.int64).reshape(len(numeric), -1).T.copy()
     return values, [titles_of(fields[j]) for j in range(len(columns)) if j not in numeric]
+
+
+def write_nodes_loop(records, path):
+    """`wgm.ingest.write_nodes` as one f-string write per record."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for rec in records:
+            fh.write(f"{rec.id}\t{rec.title}\t{rec.namespace}\n")
+
+
+def write_edges_loop(edges, path):
+    """`wgm.ingest.write_edges` as one f-string write per (source, target)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for src, dst in edges:
+            fh.write(f"{src}\t{dst}\n")
+
+
+def write_edit_log_loop(records, path):
+    """`wgm.ingest.write_edit_log` as one f-string write per record."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for rec in records:
+            fh.write(f"{rec.author_id}\t{rec.article_id}\n")
+
+
+def write_category_map_loop(catmap, path_map, path_names):
+    """`wgm.ingest.write_category_map` as one f-string write per name and map row."""
+    with open(path_names, "w", encoding="utf-8", newline="\n") as fh:
+        for cat_id in sorted(catmap.category_names):
+            fh.write(f"{cat_id}\t{catmap.category_names[cat_id]}\n")
+    with open(path_map, "w", encoding="utf-8", newline="\n") as fh:
+        for article, cat in zip(catmap.article.tolist(), catmap.category.tolist()):
+            fh.write(f"{article}\t{cat}\n")

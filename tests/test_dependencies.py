@@ -34,3 +34,32 @@ def test_src_imports_only_stdlib_numpy_and_wgm(path):
     imports = imported_modules(ast.parse(path.read_text(encoding="utf-8")))
     foreign = sorted((line, name) for line, name in imports if name not in ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}: numpy is the only runtime dependency"
+
+
+def unused_imports(tree):
+    """(line, name) of each name an import in `tree` binds that the module
+    never loads and its `__all__` does not list; `from __future__` binds none."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0]: node.lineno for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name: node.lineno for alias in node.names}
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items() if name not in loaded | exported)
+
+
+def test_scan_finds_each_unused_import():
+    code = "from __future__ import annotations\nimport itertools, os.path, numpy as np\nfrom .graph import x, y as z\n"
+    code += "__all__ = ['x']\ndef f(a: np.ndarray):\n    import math\n    os = 1\n    return z\n"
+    assert unused_imports(ast.parse(code)) == [(2, "itertools"), (2, "os"), (6, "math")]
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}), ids=lambda p: p.name)
+def test_src_loads_every_name_it_imports(path):
+    unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unused, f"{path.name} imports {unused} and never uses them"

@@ -6,8 +6,10 @@ import pytest
 from conftest import node_records, node_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import data_lines
+from hypothesis.extra import numpy as hnp
+from oracles import data_lines, write_category_map_loop, write_edges_loop, write_edit_log_loop, write_nodes_loop
 
+import wgm.ingest
 from wgm.errors import (
     DuplicateCategoryId,
     DuplicateNodeId,
@@ -388,6 +390,65 @@ class TestRoundTrips:
         back = load_category_map(tmp_path / "m.tsv", tmp_path / "c.tsv")
         assert back.article_to_categories == cm.article_to_categories
         assert back.category_names == cm.category_names
+
+
+# the values a writer receives: Python and numpy ints, and bools
+cells = st.one_of(st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans())
+titles = st.one_of(st.sampled_from(["", "Zürich", "Overleg:Σ", "東京 %s"]), st.text(st.characters(exclude_categories=["Cs"])))
+int_arrays = hnp.arrays(np.int64, st.tuples(st.integers(0, 20), st.just(2)), elements=st.integers(-(2**63), 2**63 - 1))
+
+
+class TestWriterBytes:
+    """Each writer writes the bytes of its f-string loop in `oracles`."""
+
+    @staticmethod
+    def _same(tmp_path_factory, write, reference, rows):
+        out = tmp_path_factory.mktemp("w")
+        write(rows, out / "a.tsv")
+        reference(rows, out / "b.tsv")
+        assert (out / "a.tsv").read_bytes() == (out / "b.tsv").read_bytes()
+
+    @given(records=st.lists(st.builds(NodeRecord, cells, titles, cells), max_size=20))
+    def test_nodes(self, records, tmp_path_factory):
+        self._same(tmp_path_factory, write_nodes, write_nodes_loop, records)
+
+    @given(edges=st.lists(st.tuples(cells, cells), max_size=20))
+    def test_edge_tuples(self, edges, tmp_path_factory):
+        self._same(tmp_path_factory, write_edges, write_edges_loop, edges)
+
+    @given(log=st.lists(st.builds(EditRecord, cells, cells), max_size=20))
+    def test_edit_records(self, log, tmp_path_factory):
+        self._same(tmp_path_factory, write_edit_log, write_edit_log_loop, log)
+
+    @given(
+        members=st.dictionaries(st.integers(0, 2**63 - 1), st.frozensets(st.integers(0, 9), min_size=1), max_size=8),
+        names=st.dictionaries(st.integers(0, 2**63 - 1), titles, max_size=8),
+    )
+    def test_category_map(self, members, names, tmp_path_factory):
+        out = tmp_path_factory.mktemp("w")
+        catmap = CategoryMap(article_to_categories=members, category_names=names)
+        write_category_map(catmap, out / "m.tsv", out / "c.tsv")
+        write_category_map_loop(catmap, out / "m_ref.tsv", out / "c_ref.tsv")
+        assert (out / "m.tsv").read_bytes() == (out / "m_ref.tsv").read_bytes()
+        assert (out / "c.tsv").read_bytes() == (out / "c_ref.tsv").read_bytes()
+
+    # 3 rows per block splits most drawn arrays into several blocks
+    @given(array=int_arrays, block=st.sampled_from([3, wgm.ingest.WRITE_BLOCK]))
+    def test_arrays(self, array, block, tmp_path_factory):
+        def log_of_records(rows, path):
+            write_edit_log_loop(map(EditRecord._make, rows.tolist()), path)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wgm.ingest, "WRITE_BLOCK", block)
+            self._same(tmp_path_factory, write_edges, write_edges_loop, array)
+            self._same(tmp_path_factory, write_edit_log, log_of_records, array)
+
+    def test_array_rows_as_tuples(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wgm.ingest, "WRITE_BLOCK", 3)
+        for array in (np.zeros((0, 2), dtype=np.int64), np.arange(20, dtype=np.int64).reshape(10, 2) * 10**17):
+            write_edges(array, tmp_path / "a.tsv")
+            write_edges(map(tuple, array.tolist()), tmp_path / "b.tsv")
+            assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
 
 class TestEncoding:
