@@ -293,8 +293,9 @@ def _parse(data: bytes, columns: Columns, duplicate: Duplicate | None = None, pa
     if duplicate and (np.diff(np.sort(ids)) == 0).any():
         _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         row = int(np.argmax(first[inverse] != np.arange(len(ids))))  # the first that repeats an earlier row
-        lines, (kind, message) = np.flatnonzero(_lines(data)[2]) + 1, duplicate
-        raise kind(int(lines[row]), message.format(ids[row], lines[first[inverse[row]]]), path)
+        kind, message = duplicate
+        first_line = _record_line(data, first[inverse[row]] + 1)
+        raise kind(_record_line(data, row + 1), message.format(ids[row], first_line), path)
     return values, texts
 
 

@@ -193,8 +193,8 @@ def _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg):
     return np.flatnonzero(nxt), None, nxt, frontier
 
 
-def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
-    """(sum of hop distances, count) over the reachable ordered pairs.
+def _distance_counts(push, pull, pairs: np.ndarray | None) -> np.ndarray:
+    """`counts[d]`, the reachable ordered pairs d hops apart, with no trailing zeros.
 
     `pairs` holds sorted keys s*n + t; None stands for every ordered pair.
     Bitset multi-source BFS: up to _WORDS * 64 distinct sources run at
@@ -217,7 +217,7 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
     buffers = [np.empty(size, dtype=np.uint64) for _ in range(3)]
     outdeg = np.diff(push[0])
 
-    total = reachable = 0
+    counts = np.zeros(n + 1, dtype=np.int64)  # a batch runs one level past its deepest hit
     for b in range(0, sources.size, group):
         lanes = sources[b : b + group]
         lane = np.arange(lanes.size)
@@ -237,15 +237,13 @@ def _distance_sums(push, pull, pairs: np.ndarray | None) -> tuple[int, int]:
             depth += 1
             keys, bits, frontier, nxt = _advance(keys, bits, frontier, nxt, unseen, push, pull, outdeg)
             if pairs is None:
-                hits = int(_POPCOUNT8[(frontier[keys] if bits is None else bits).view(np.uint8)].sum(dtype=np.int64))
+                found = frontier[keys] if bits is None else bits
+                counts[depth] += _POPCOUNT8[found.view(np.uint8)].sum(dtype=np.int64)
             else:
                 settled = (unseen[targets] & target_bits) == 0
-                hits = int(np.count_nonzero(settled))
-                if hits:
-                    targets, target_bits = targets[~settled], target_bits[~settled]
-            total += depth * hits
-            reachable += hits
-    return total, reachable
+                counts[depth] += np.count_nonzero(settled)
+                targets, target_bits = targets[~settled], target_bits[~settled]
+    return np.trim_zeros(counts, "b")
 
 
 def _draw_pairs(n: int, n_pairs: int, seed: int) -> np.ndarray:
@@ -289,14 +287,12 @@ def sampled_avg_path(
     push = graph.directed_csr() if directed else graph.undirected_csr()
     pull = graph.in_csr() if directed else push
 
-    if exhaustive:
-        sampled = n * (n - 1)
-        total, reachable = _distance_sums(push, pull, None)
-    else:
-        if n_pairs < 1:
-            raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
-        sampled = n_pairs
-        total, reachable = _distance_sums(push, pull, _draw_pairs(n, n_pairs, seed))
+    if not exhaustive and n_pairs < 1:
+        raise DomainError(f"n_pairs must be >= 1, got {n_pairs}")
+    sampled, pairs = (n * (n - 1), None) if exhaustive else (n_pairs, _draw_pairs(n, n_pairs, seed))
+    counts = _distance_counts(push, pull, pairs).tolist()
+    total = sum(d * c for d, c in enumerate(counts))
+    reachable = sum(counts)
 
     mean = total / reachable if reachable else math.nan
     return PathSampleResult(

@@ -125,19 +125,17 @@ def bfs_dict(adj, source):
     return dist
 
 
-def pair_sums_bfs(edges, node_count, pairs, directed):
-    """(sum of hop distances, reachable count) over the ordered `pairs`, by
-    dict BFS."""
+def pair_depths_bfs(edges, node_count, pairs, directed):
+    """{hop distance: count} over the reachable ordered `pairs`, by dict BFS."""
     adj = adjacency_dicts(edges, node_count, directed)
     dist = {}
-    total = reachable = 0
+    depths = {}
     for s, t in pairs:
         if s not in dist:
             dist[s] = bfs_dict(adj, s)
         if t in dist[s]:
-            total += dist[s][t]
-            reachable += 1
-    return total, reachable
+            depths[dist[s][t]] = depths.get(dist[s][t], 0) + 1
+    return depths
 
 
 def all_pairs_mean_bfs(edges, node_count, directed):

@@ -4,6 +4,7 @@ any output byte fails here; a change meant to alter the output must update
 these digests on purpose."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -210,6 +211,12 @@ def shuffled_rows(data, seed):
     return b"\n".join(lines)
 
 
+def main_output(argv, directory, out):
+    """The bytes `main` writes for `argv` with its files read from `directory`."""
+    assert main([*(str(directory / a) if a.endswith(".tsv") else a for a in argv), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("name", ROW_ORDER_FREE)
 def test_report_ignores_row_order(name, data_dir, tmp_path):
     for tsv in data_dir.glob("*.tsv"):
@@ -217,6 +224,32 @@ def test_report_ignores_row_order(name, data_dir, tmp_path):
         (tmp_path / tsv.name).write_bytes(shuffled_rows(data, seed=1) if tsv.name == name else data)
     assert (tmp_path / name).read_bytes() != (data_dir / name).read_bytes()
     argv, digest = GOLDEN["report"]
-    out = tmp_path / "out"
-    assert main([*(str(tmp_path / a) if a.endswith(".tsv") else a for a in argv), "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(main_output(argv, tmp_path, tmp_path / "out")).hexdigest() == digest
+
+
+def data_rows(data):
+    """The fields of each data line of `data`, skipping comment and blank lines."""
+    return [line.split("\t") for line in data.decode("utf-8").split("\n") if line and not line.startswith("#")]
+
+
+def doubled_rows(data):
+    """`data` with each data line written twice in a row; comment and blank
+    lines once."""
+    lines = data.split(b"\n")
+    return b"\n".join(line for line in lines for _ in range(2 if line and not line.startswith(b"#") else 1))
+
+
+@pytest.mark.parametrize("name", ["report", "report-undirected"])
+def test_report_under_doubled_edge_rows(name, data_dir, tmp_path):
+    """Each edge row twice: only the two counts of dropped rows move."""
+    for tsv in data_dir.glob("*.tsv"):
+        data = tsv.read_bytes()
+        (tmp_path / tsv.name).write_bytes(doubled_rows(data) if tsv.name == "edges.tsv" else data)
+    argv, _ = GOLDEN[name]
+    base, doubled = (json.loads(main_output(argv, d, tmp_path / "out")) for d in (data_dir, tmp_path))
+    main_ids = {row[0] for row in data_rows((data_dir / "nodes.tsv").read_bytes()) if row[2] == "0"}
+    edges = data_rows((data_dir / "edges.tsv").read_bytes())
+    non_loop = sum(s != t and {s, t} <= main_ids for s, t in edges)  # the rows left after the namespace filter
+    assert doubled["graph"].pop("dropped_self_loops") == 2 * base["graph"].pop("dropped_self_loops")
+    assert doubled["graph"].pop("dropped_duplicate_edges") == base["graph"].pop("dropped_duplicate_edges") + non_loop
+    assert doubled == base

@@ -19,12 +19,10 @@ from wgm.synth import generate_preferential, generate_uniform
 
 from conftest import distinct_random_edges, seeded_graph
 from oracles import (
-    adjacency_dicts,
     all_pairs_mean_bfs,
     all_pairs_mean_floyd_warshall,
-    bfs_dict,
     clustering_triple_loop,
-    pair_sums_bfs,
+    pair_depths_bfs,
 )
 
 
@@ -243,6 +241,11 @@ def patchy_graph():
     return build_graph(edges, 150)  # 137..149 isolated
 
 
+def sums(depths):
+    """(sum of hop distances, reachable count) of a {distance: count} map."""
+    return sum(d * c for d, c in depths.items()), sum(depths.values())
+
+
 REGIMES = {"switch": 14, "push": 0, "pull": 10**18}
 
 
@@ -259,7 +262,7 @@ class TestMultiSourceBfs:
         edges = [tuple(e) for e in g.edges().tolist()]
         res = sampled_avg_path(g, 1, seed=0, directed=directed, exhaustive=True)
         pairs = [(s, t) for s in range(150) for t in range(150) if s != t]
-        total, reachable = pair_sums_bfs(edges, 150, pairs, directed)
+        total, reachable = sums(pair_depths_bfs(edges, 150, pairs, directed))
         assert res.reachable_pairs == reachable
         assert res.mean_path_length == total / reachable
         assert res.sampled_pairs == len(pairs)
@@ -271,7 +274,7 @@ class TestMultiSourceBfs:
         edges = [tuple(e) for e in g.edges().tolist()]
         res = sampled_avg_path(g, n_pairs, seed=17, directed=directed)
         pairs = _drawn_pairs(150, n_pairs, 17)
-        total, reachable = pair_sums_bfs(edges, 150, pairs, directed)
+        total, reachable = sums(pair_depths_bfs(edges, 150, pairs, directed))
         assert res.reachable_pairs == reachable
         if reachable:
             assert res.mean_path_length == total / reachable
@@ -283,7 +286,7 @@ class TestMultiSourceBfs:
         edges = [tuple(e) for e in g.edges().tolist()]
         for directed in (True, False):
             res = sampled_avg_path(g, 3000, seed=4, directed=directed)
-            total, reachable = pair_sums_bfs(edges, 300, _drawn_pairs(300, 3000, 4), directed)
+            total, reachable = sums(pair_depths_bfs(edges, 300, _drawn_pairs(300, 3000, 4), directed))
             assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
 
     def test_edgeless_graph(self, regime):
@@ -304,15 +307,36 @@ def bridged_graph():
 
 
 BRIDGED = bridged_graph()
-BRIDGED_EDGES = [tuple(e) for e in BRIDGED.edges().tolist()]
+
+
+def path_graph(n):
+    """The directed path 0 -> 1 -> ... -> n-1, whose end is n - 1 hops from its start."""
+    return build_graph([(i, i + 1) for i in range(n - 1)], n)
+
+
+# name: (graph, sampled pair count, seed). The path's 70 sources fill a word
+# and 6 lanes of a second, and its 5,000 drawn pairs include (0, 69).
+KERNEL_GRAPHS = {
+    "bridged": (BRIDGED, 5000, 23),
+    "patchy": (patchy_graph(), 5000, 17),
+    "path": (path_graph(70), 5000, 5),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def bridged_all_pairs(directed):
-    """(sum of hop distances, reachable count) over every ordered pair."""
-    adj = adjacency_dicts(BRIDGED_EDGES, 600, directed)
-    dists = [bfs_dict(adj, s) for s in range(600)]
-    return sum(sum(d.values()) for d in dists), sum(len(d) - 1 for d in dists)
+def oracle_depths(name, directed, sampled):
+    """`pair_depths_bfs` over every ordered pair of a KERNEL_GRAPHS graph, or
+    over the pairs `sampled_avg_path` draws for it."""
+    graph, n_pairs, seed = KERNEL_GRAPHS[name]
+    n = graph.node_count
+    pairs = _drawn_pairs(n, n_pairs, seed) if sampled else [(s, t) for s in range(n) for t in range(n) if s != t]
+    return pair_depths_bfs([tuple(e) for e in graph.edges().tolist()], n, pairs, directed)
+
+
+@pytest.fixture(params=[1 << 20, 1200, 1])
+def budget(request, monkeypatch):
+    monkeypatch.setattr(structure, "_DENSE_BUDGET", request.param)
+    return request.param
 
 
 class TestWordsInFlight:
@@ -321,24 +345,18 @@ class TestWordsInFlight:
     64 + 24 lanes, and 5,000 sampled pairs have more than 512 distinct
     sources. The dense budget patch shrinks the batches to 2 and 1 words."""
 
-    @pytest.fixture(params=[1 << 20, 1200, 1])
-    def budget(self, request, monkeypatch):
-        monkeypatch.setattr(structure, "_DENSE_BUDGET", request.param)
-        return request.param
-
     @pytest.mark.parametrize("directed", [True, False])
     def test_exhaustive_matches_oracle(self, regime, budget, directed):
         res = sampled_avg_path(BRIDGED, 1, seed=0, directed=directed, exhaustive=True)
-        total, reachable = bridged_all_pairs(directed)
+        total, reachable = sums(oracle_depths("bridged", directed, False))
         assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
         assert res.sampled_pairs == 600 * 599
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_sampled_matches_oracle(self, regime, budget, directed):
-        pairs = _drawn_pairs(600, 5000, 23)
-        assert len({s for s, _ in pairs}) > 512
+        assert len({s for s, _ in _drawn_pairs(600, 5000, 23)}) > 512
         res = sampled_avg_path(BRIDGED, 5000, seed=23, directed=directed)
-        total, reachable = pair_sums_bfs(BRIDGED_EDGES, 600, pairs, directed)
+        total, reachable = sums(oracle_depths("bridged", directed, True))
         assert (res.reachable_pairs, res.mean_path_length) == (reachable, total / reachable)
 
     @pytest.mark.parametrize("directed", [True, False])
@@ -363,10 +381,35 @@ class TestWordsInFlight:
 
         monkeypatch.setattr(structure, "_advance", advance)
         res = sampled_avg_path(BRIDGED, 1, seed=0, directed=directed, exhaustive=True)
-        assert res.reachable_pairs == bridged_all_pairs(directed)[1]
+        assert res.reachable_pairs == sums(oracle_depths("bridged", directed, False))[1]
         batches = ",".join(levels).split("|")
         assert any(re.search(r"push,(pull,)+push", batch) for batch in batches)
         assert {level.rstrip("|") for level in levels} <= {"push", "pull"}
+
+
+class TestDistanceCounts:
+    """`_distance_counts` against the dict BFS depth by depth, so that errors
+    which cancel in the sum and count of the distances still show."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("name", sorted(KERNEL_GRAPHS))
+    def test_matches_oracle_depth_by_depth(self, regime, budget, name, directed, sampled):
+        graph, n_pairs, seed = KERNEL_GRAPHS[name]
+        n = graph.node_count
+        push = graph.directed_csr() if directed else graph.undirected_csr()
+        pull = graph.in_csr() if directed else push
+        pairs = np.sort([s * n + t for s, t in _drawn_pairs(n, n_pairs, seed)]) if sampled else None
+        counts = structure._distance_counts(push, pull, pairs)
+        depths = oracle_depths(name, directed, sampled)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [depths.get(d, 0) for d in range(max(depths, default=-1) + 1)]
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_path_reaches_n_minus_1_hops(self, directed, sampled):
+        """The BFS runs one level past the deepest hit, here level n."""
+        assert max(oracle_depths("path", directed, sampled)) == 69
 
 
 def hub_graph():
