@@ -160,13 +160,17 @@ def resolve_edits(
     )
 
 
-def _ranking(log: EditLog, category: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _only(log: EditLog, category: int) -> EditLog:
+    """The rows of `category`."""
+    rows = log.category == category
+    return EditLog(log.author[rows], log.category[rows], log.count[rows])
+
+
+def _ranking(log: EditLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(author, category, count) rows by ascending category, then descending
-    count, then ascending author id; only `category`'s rows if it is given."""
-    rows = slice(None) if category is None else log.category == category
-    author, cat, count = log.author[rows], log.category[rows], log.count[rows]
-    order = np.lexsort((author, -count, cat))
-    return author[order], cat[order], count[order]
+    count, then ascending author id."""
+    order = np.lexsort((log.author, -log.count, log.category))
+    return log.author[order], log.category[order], log.count[order]
 
 
 def edits_per_author(log: EditLog, category: int) -> float:
@@ -185,7 +189,7 @@ def top_k_share(log: EditLog, category: int, k: int = 1, include_anonymous: bool
     """Edit share of the k most active authors in the category."""
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    author, _, count = _ranking(log, category)
+    author, _, count = _ranking(_only(log, category))
     if not include_anonymous:
         count = count[author != ANONYMOUS_AUTHOR]
     if not count.size:
@@ -201,7 +205,7 @@ def category_stats(
     Edit and author counts cover every author in the resolved log; the
     share columns honor `include_anonymous`.
     """
-    stats = _category_stats(log, top_fraction, include_anonymous, category)
+    stats = category_report(_only(log, category), top_fraction, include_anonymous)
     if not stats:
         raise EmptyCategory(f"category {category} has no edits")
     return stats[0]
@@ -210,22 +214,15 @@ def category_stats(
 def category_report(
     log: EditLog, top_fraction: float = 0.2, include_anonymous: bool = False
 ) -> list[CategoryStats]:
-    """Statistics of every category with edits, ascending by id.
+    """Statistics of every category with edits, ascending by id, from one
+    ranking of the rows.
 
     A category whose only edits are anonymous has no ranking without
     `include_anonymous` and is skipped.
     """
-    return _category_stats(log, top_fraction, include_anonymous)
-
-
-def _category_stats(
-    log: EditLog, top_fraction: float, include_anonymous: bool, category: int | None = None
-) -> list[CategoryStats]:
-    """The statistics of every ranked category (or only `category`), from
-    one ranking of the rows."""
     if not 0.0 < top_fraction <= 1.0:
         raise InvalidFraction(f"top_fraction must be in (0, 1], got {top_fraction}")
-    author, cat, count = _ranking(log, category)
+    author, cat, count = _ranking(log)
     if not count.size:
         return []
     starts = _run_starts(cat)

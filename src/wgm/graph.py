@@ -34,6 +34,8 @@ def _csr(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.divmod(keys, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.setflags(write=False)
+    cols.setflags(write=False)
     return indptr, cols
 
 
@@ -56,26 +58,18 @@ class ArticleGraph:
     def __init__(
         self,
         node_count: int,
-        out_indptr: np.ndarray,
-        out_indices: np.ndarray,
-        in_indptr: np.ndarray,
-        in_indices: np.ndarray,
+        keys: np.ndarray,
         titles: Sequence[str] | None = None,
         dropped_self_loops: int = 0,
         dropped_duplicates: int = 0,
     ):
-        self.node_count = int(node_count)
-        self._out_indptr = out_indptr
-        self._out_indices = out_indices
-        self._in_indptr = in_indptr
-        self._in_indices = in_indices
+        """`keys` are the sorted, distinct edge keys src*node_count + dst."""
+        self.node_count = n = int(node_count)
+        self._out_indptr, self._out_indices = _csr(keys, n)
+        self._in_indptr, self._in_indices = _csr(np.sort(self._out_indices * n + keys // n), n)
         self.titles = titles
         self.dropped_self_loops = dropped_self_loops
         self.dropped_duplicates = dropped_duplicates
-        for a in (out_indptr, out_indices, in_indptr, in_indices):
-            a.setflags(write=False)
-        # double-entry bookkeeping: every edge appears in both directions
-        assert out_indices.size == in_indices.size
 
     @property
     def edge_count(self) -> int:
@@ -166,18 +160,7 @@ def build_graph(
     keys = np.sort(arr[:, 0] * node_count + arr[:, 1])
     out_keys = keys[_run_starts(keys)]
     n_dups = arr.shape[0] - out_keys.size
-    out_indptr, out_indices = _csr(out_keys, node_count)
-    in_indptr, in_indices = _csr(np.sort(out_indices * node_count + out_keys // node_count), node_count)
-    return ArticleGraph(
-        node_count,
-        out_indptr,
-        out_indices,
-        in_indptr,
-        in_indices,
-        titles=titles,
-        dropped_self_loops=n_loops,
-        dropped_duplicates=n_dups,
-    )
+    return ArticleGraph(node_count, out_keys, titles, dropped_self_loops=n_loops, dropped_duplicates=n_dups)
 
 
 def degree_of(graph: ArticleGraph, node: int) -> DegreeSummary:

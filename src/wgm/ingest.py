@@ -305,10 +305,11 @@ def _read(path: str | os.PathLike, columns: Columns, duplicate: Duplicate | None
         return _parse(fh.read(), columns, duplicate, str(path))
 
 
-def _record_line(data: bytes, ordinal: int) -> int:
-    """The physical line of the `ordinal`-th (1-based) data record of a file's bytes."""
+def _record_line(data: bytes, ordinal: int) -> int | None:
+    """The physical line of the `ordinal`-th (1-based) data record of a file's
+    bytes, or None past its last data line."""
     lines = np.flatnonzero(_lines(_lf(data))[2]) + 1
-    return int(lines[ordinal - 1]) if ordinal <= len(lines) else ordinal
+    return int(lines[ordinal - 1]) if ordinal <= len(lines) else None
 
 
 def load_nodes(path: str | os.PathLike) -> NodeTable:
@@ -359,7 +360,8 @@ def filter_main_namespace(
     :class:`UnknownNodeInEdge` naming the edge's record number (1-based),
     or, given the `path` of a regular file the edges were read from, its
     physical line in that file. A `path` that is not a regular file (a pipe
-    or FIFO) is not read again: the error names the record number in it.
+    or FIFO) is not read again, and a record past the file's data lines
+    has no line in it: the error then names the record number.
     """
     ids = nodes.id
     main = nodes.namespace == MAIN_NAMESPACE
@@ -377,10 +379,12 @@ def filter_main_namespace(
         row = int(np.argmin(known.all(axis=1)))
         bad = int(arr[row, 0] if not known[row, 0] else arr[row, 1])
         reason = f"edge references unknown node id {bad}"
-        if path is None or not stat.S_ISREG(os.stat(path).st_mode):
+        line = None
+        if path is not None and stat.S_ISREG(os.stat(path).st_mode):
+            with open(path, "rb") as fh:
+                line = _record_line(fh.read(), row + 1)
+        if line is None:
             raise UnknownNodeInEdge(row + 1, reason, path and str(path), unit="record")
-        with open(path, "rb") as fh:
-            line = _record_line(fh.read(), row + 1)
         raise UnknownNodeInEdge(line, reason, str(path))
     mapped = new_id[order[at]]
     k = int(main.sum())

@@ -24,10 +24,14 @@ from wgm.edits import (
     EntropyReport,
     active_category_histogram,
     category_report,
+    category_stats,
+    edits_per_author,
     entropy_histogram,
     entropy_report,
     max_share_histogram,
+    pareto_share,
     resolve_edits,
+    top_k_share,
 )
 from wgm.errors import EmptyCategory, ParseError
 from wgm.ingest import (
@@ -186,6 +190,27 @@ def test_category_report_matches_dict_reference(log_data, top_fraction, include_
     expected = ref_category_report(ref, top_fraction, include_anonymous)
     assert render(got) == render(expected)
     assert_plain_numbers(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_data=edit_logs, top_fraction=st.sampled_from([0.01, 0.2, 1 / 3, 0.5, 1.0]))
+def test_single_category_calls_match_their_report_row(log_data, top_fraction):
+    log, _ = columnar_and_reference(log_data)
+    for include_anonymous in (False, True):
+        rows = {row.category_id: row for row in category_report(log, top_fraction, include_anonymous)}
+        for category in range(12):
+            calls = (
+                (category_stats, (log, category, top_fraction, include_anonymous), lambda row: row),
+                (pareto_share, (log, category, top_fraction, include_anonymous), lambda row: row.top_fraction_share),
+                (top_k_share, (log, category, 1, include_anonymous), lambda row: row.top1_share),
+                *([(edits_per_author, (log, category), lambda row: row.ea_bar)] if include_anonymous else []),
+            )
+            for call, args, field in calls:
+                if category in rows:
+                    assert render(call(*args)) == render(field(rows[category])), call.__name__
+                else:
+                    with pytest.raises(EmptyCategory):
+                        call(*args)
 
 
 @settings(max_examples=300, deadline=None)

@@ -63,3 +63,46 @@ def test_scan_finds_each_unused_import():
 def test_src_loads_every_name_it_imports(path):
     unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def orphaned_private_names(trees):
+    """(file, line, name) of each module-level function, class or assignment
+    whose name starts with one underscore and that no tree in `trees` (a
+    file name -> module mapping) loads as a name, an attribute or an
+    imported name."""
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded |= {alias.name for alias in node.names}
+    orphans = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                continue
+            private = (name for name in names if name.startswith("_") and not name.startswith("__"))
+            orphans += [(file, node.lineno, name) for name in private if name not in loaded]
+    return orphans
+
+
+def test_scan_finds_each_orphaned_private_name():
+    a = "_A, (_B, c) = 1, (2, 3)\n_t: int = 0\n__all__ = []\ndef _f():\n    _local = _A\nclass _C:\n    pass\n"
+    a += "def _g():\n    pass\n_h = 1\n"
+    b = "from .a import _f\nimport a\na._C\n"
+    expected = [("a.py", 1, "_B"), ("a.py", 2, "_t"), ("a.py", 8, "_g"), ("a.py", 10, "_h")]
+    assert orphaned_private_names({"a.py": ast.parse(a), "b.py": ast.parse(b)}) == expected
+
+
+def test_src_loads_every_private_name_it_defines():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    orphans = orphaned_private_names(trees)
+    assert not orphans, f"{orphans} are defined in src/wgm and never used there"

@@ -113,9 +113,24 @@ def test_titles_must_match_node_count():
         build_graph([], 2, titles=["only one"])
 
 
-def test_adjacency_arrays_immutable(cycle3):
+ADJACENCY_ARRAYS = {
+    "out_neighbors": lambda g: g.out_neighbors(0),
+    "in_neighbors": lambda g: g.in_neighbors(0),
+    "undirected_neighbors": lambda g: g.undirected_neighbors(0),
+    **{
+        f"{csr}[{i}]": lambda g, csr=csr, i=i: getattr(g, csr)()[i]
+        for csr in ("directed_csr", "in_csr", "undirected_csr")
+        for i in (0, 1)
+    },
+}
+
+
+@pytest.mark.parametrize("accessor", ADJACENCY_ARRAYS.values(), ids=ADJACENCY_ARRAYS.keys())
+def test_adjacency_arrays_immutable(cycle3, accessor):
+    array = accessor(cycle3)
+    assert not array.flags.writeable
     with pytest.raises(ValueError):
-        cycle3.out_neighbors(0)[0] = 99
+        array[0] = 99
 
 
 def reference_csr(edges, n):

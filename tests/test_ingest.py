@@ -250,6 +250,7 @@ class TestFilterMainNamespace:
         with pytest.raises(UnknownNodeInEdge) as err:
             filter_main_namespace(node_table([NodeRecord(0, "a", 0)]), [(0, 0), (0, 99)], path=path)
         assert (err.value.line, err.value.path) == (2, str(path))
+        assert str(err.value) == f"{path}: record 2: edge references unknown node id 99"
 
     def test_unknown_node_given_a_pipe_names_its_record(self):
         nodes = node_table([NodeRecord(0, "a", 0), NodeRecord(1, "b", 0)])
