@@ -46,11 +46,17 @@ def unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound |= {alias.asname or alias.name: node.lineno for alias in node.names}
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    exported = set()
+    return sorted((line, name) for name, line in bound.items() if name not in loaded | set(exported(tree)))
+
+
+def exported(tree):
+    """The names the module-level `__all__` in `tree` lists, in order; none
+    without one."""
+    names = []
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in bound.items() if name not in loaded | exported)
+            names = ast.literal_eval(node.value)
+    return names
 
 
 def test_scan_finds_each_unused_import():
@@ -59,10 +65,33 @@ def test_scan_finds_each_unused_import():
     assert unused_imports(ast.parse(code)) == [(2, "itertools"), (2, "os"), (6, "math")]
 
 
-@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_src_loads_every_name_it_imports(path):
     unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+def public_definitions(tree):
+    """Names of the module-level functions and classes in `tree` that do
+    not start with an underscore."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return [node.name for node in tree.body if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def test_scan_finds_each_public_definition():
+    code = "__all__ = ['f', 'gone']\ndef f():\n    def g():\n        pass\nclass C:\n    def m(self):\n        pass\n"
+    code += "def _h():\n    pass\nX = 1\n"
+    assert exported(ast.parse(code)) == ["f", "gone"]
+    assert public_definitions(ast.parse(code)) == ["f", "C"]
+
+
+@pytest.mark.parametrize("module", ["degrees", "edits", "graph", "ingest", "structure", "synth"])
+def test_all_lists_each_public_function_and_class_once(module):
+    """Each name has one import path, its module, so `__all__` is the one
+    list of a module's public names: it names no missing function or class,
+    leaves none out and names none twice."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert sorted(exported(tree)) == sorted(public_definitions(tree))
 
 
 def orphaned_private_names(trees):

@@ -46,7 +46,8 @@ def test_import_pins_blas_threads(imports, blas_threads, seen):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_import_starts_no_blas_worker():
-    code = "import os, wgm; print(len(os.listdir('/proc/self/task')))"
+    # `import wgm` alone loads no numpy; `wgm.cli` loads it after the pin
+    code = "import os, wgm.cli; print(len(os.listdir('/proc/self/task')))"
     assert run_python(["-c", code]).decode().strip() == "1"
 
 
